@@ -6,8 +6,8 @@
 //   "<dist>/Adaptive"    — the adaptive operator, free to switch; rows carry
 //                          the resolved strategy and switch trace as meta.
 //   "<dist>/<strategy>"  — each inventory strategy pinned through the same
-//                          migratable harness (force_strategy). These are
-//                          the gate baselines: tools/bench_compare.py
+//                          migratable harness (a one-member strategy set).
+//                          These are the gate baselines: tools/bench_compare.py
 //                          --adaptive-gate checks decision quality — the
 //                          adaptive run must stay within the threshold of
 //                          the best pinned strategy at every sweep point.
@@ -110,7 +110,11 @@ int Run(int argc, char** argv) {
   // Calibration hooks (docs/adaptive.md): pin a strategy, change the sample
   // size, or fix the chunk size to measure the switching machinery itself.
   AdaptiveOptions options;
-  options.force_strategy = static_cast<int>(flags.GetInt("force_strategy", -1));
+  const int64_t forced = flags.GetInt("force_strategy", -1);
+  if (forced >= 0) {
+    options.strategies =
+        AggStrategySet::Of({static_cast<AggStrategy>(forced)});
+  }
   options.sample_morsels = static_cast<size_t>(
       flags.GetInt("sample_morsels", options.sample_morsels));
   options.chunk_morsels =
@@ -169,7 +173,7 @@ int Run(int argc, char** argv) {
         const AggStrategy strategy = static_cast<AggStrategy>(s);
         if (!StrategyApplicable(strategy, threads)) continue;
         AdaptiveOptions pinned;
-        pinned.force_strategy = s;
+        pinned.strategies = AggStrategySet::Of({strategy});
         Measured fixed;
         for (int rep = 0; rep < reps; ++rep) {
           Measured m = RunAdaptive(keys, threads, pinned);

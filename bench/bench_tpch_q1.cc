@@ -84,17 +84,11 @@ struct RunSpec {
 };
 
 /// True for labels that accept a multi-threaded ExecutionContext; serial
-/// families abort on num_threads > 1 (core/engine.cc), so --labels runs
-/// clamp them to one thread.
+/// families abort on num_threads > 1 (core/engine.h), so --labels runs
+/// clamp them to one thread. "auto" is not a label: the advisor resolves it
+/// for the thread count.
 bool ParallelCapable(const std::string& label) {
-  for (const std::string& concurrent : ConcurrentLabels()) {
-    if (label == concurrent) return true;
-  }
-  for (const char* capable : {"Hash_PLocal", "Hash_Striped", "Hash_PRadix",
-                              "Hybrid", "Adaptive", "auto"}) {
-    if (label == capable) return true;
-  }
-  return false;
+  return label == "auto" || FindLabel(label).parallel;
 }
 
 /// Every family the result must be byte-stable across: all serial labels,

@@ -225,11 +225,13 @@ double EstimatedMigrationCost(AggStrategy from, AggStrategy to,
          per_group * static_cast<double>(progress.groups);
 }
 
-AggStrategy ChooseAggStrategy(const StrategyCostInputs& in) {
+AggStrategy ChooseAggStrategy(const StrategyCostInputs& in,
+                              AggStrategySet allowed) {
   AggStrategy best = AggStrategy::kSerialHash;
   double best_cost = kInfiniteCost;
   for (int s = 0; s < kNumAggStrategies; ++s) {
     const AggStrategy strategy = static_cast<AggStrategy>(s);
+    if (!allowed.Contains(strategy)) continue;
     const double cost = EstimatedStrategyCost(strategy, in);
     if (cost < best_cost) {
       best_cost = cost;
@@ -239,12 +241,26 @@ AggStrategy ChooseAggStrategy(const StrategyCostInputs& in) {
   return best;
 }
 
-AggStrategy NextApplicableStrategy(AggStrategy current, int workers) {
+AggStrategy FirstApplicableStrategy(AggStrategySet allowed, int workers) {
+  for (int s = 0; s < kNumAggStrategies; ++s) {
+    const AggStrategy candidate = static_cast<AggStrategy>(s);
+    if (allowed.Contains(candidate) && StrategyApplicable(candidate, workers)) {
+      return candidate;
+    }
+  }
+  MEMAGG_CHECK(false && "no strategy in the set runs at this worker count");
+  return AggStrategy::kSerialHash;
+}
+
+AggStrategy NextApplicableStrategy(AggStrategy current, int workers,
+                                   AggStrategySet allowed) {
   int s = static_cast<int>(current);
   for (int step = 0; step < kNumAggStrategies; ++step) {
     s = (s + 1) % kNumAggStrategies;
     const AggStrategy candidate = static_cast<AggStrategy>(s);
-    if (StrategyApplicable(candidate, workers)) return candidate;
+    if (allowed.Contains(candidate) && StrategyApplicable(candidate, workers)) {
+      return candidate;
+    }
   }
   return current;
 }

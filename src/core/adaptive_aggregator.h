@@ -32,11 +32,13 @@
 #define MEMAGG_CORE_ADAPTIVE_AGGREGATOR_H_
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -78,15 +80,39 @@ inline constexpr int kNumAggStrategies = 6;
 /// Stable lowercase identifier (switch traces, bench JSON).
 const char* AggStrategyName(AggStrategy strategy);
 
+/// A set of strategies, one bit per AggStrategy. The default is the whole
+/// inventory.
+struct AggStrategySet {
+  unsigned bits = (1u << kNumAggStrategies) - 1;
+
+  static constexpr AggStrategySet Of(
+      std::initializer_list<AggStrategy> members) {
+    AggStrategySet set{0};
+    for (AggStrategy s : members) set.bits |= 1u << static_cast<int>(s);
+    return set;
+  }
+  constexpr bool Contains(AggStrategy s) const {
+    return ((bits >> static_cast<int>(s)) & 1u) != 0;
+  }
+  constexpr bool Single() const { return std::has_single_bit(bits); }
+};
+
+/// The engine's "Hybrid" label (paper Section 5.5): hash — serial, or
+/// worker-local at more than one worker — with the sort fallback.
+inline constexpr AggStrategySet kHybridStrategies = AggStrategySet::Of(
+    {AggStrategy::kSerialHash, AggStrategy::kLocalCentral, AggStrategy::kSort});
+
 /// Tuning knobs; the defaults are the measured configuration. The test
-/// hooks (force_strategy, rotate, chunk_morsels) exist so correctness tests
-/// can pin or exercise the switching machinery deterministically.
+/// hooks (a one-member strategy set, rotate, chunk_morsels) exist so
+/// correctness tests can pin or exercise the switching machinery
+/// deterministically.
 struct AdaptiveOptions {
   size_t sample_morsels = 2;    ///< K: morsels consumed before first decision.
   size_t l3_bytes = 0;          ///< Cost-model LLC size; 0 = detect.
   double switch_margin = 0.8;   ///< Switch only if predicted cost (incl.
                                 ///< migration) < margin × staying cost.
-  int force_strategy = -1;      ///< >= 0: pin to this AggStrategy, never switch.
+  AggStrategySet strategies;    ///< The strategies the operator may run; a
+                                ///< one-member set pins it (never switches).
   bool rotate = false;          ///< Ignore the cost model; switch to the next
                                 ///< applicable strategy at every barrier.
   size_t chunk_morsels = 0;     ///< Fixed chunk size; 0 = geometric doubling.
@@ -128,14 +154,22 @@ double EstimatedStrategyCost(AggStrategy strategy,
 double EstimatedMigrationCost(AggStrategy from, AggStrategy to,
                               const ProgressSnapshot& progress);
 
-/// argmin of EstimatedStrategyCost over the applicable strategies.
-AggStrategy ChooseAggStrategy(const StrategyCostInputs& in);
+/// argmin of EstimatedStrategyCost over the applicable members of `allowed`.
+AggStrategy ChooseAggStrategy(const StrategyCostInputs& in,
+                              AggStrategySet allowed);
 
-/// Next applicable strategy after `current` in enum order (rotation hook).
-AggStrategy NextApplicableStrategy(AggStrategy current, int workers);
+/// The lowest-numbered member of `allowed` applicable under `workers`: the
+/// strategy a run starts on. Aborts if no member is applicable.
+AggStrategy FirstApplicableStrategy(AggStrategySet allowed, int workers);
 
-/// The adaptive operator. Registered in the engine as "Adaptive" and used by
-/// the experiment driver's "auto" label for vector queries.
+/// Next applicable member of `allowed` after `current`, in cyclic enum
+/// order (rotation hook).
+AggStrategy NextApplicableStrategy(AggStrategy current, int workers,
+                                   AggStrategySet allowed);
+
+/// The adaptive operator. Registered in the engine as "Adaptive" (every
+/// strategy) and "Hybrid" (kHybridStrategies), and used by the experiment
+/// driver's "auto" label for vector queries.
 template <MergeableAggregatePolicy Aggregate>
 class AdaptiveAggregator final : public VectorAggregator {
  public:
@@ -143,8 +177,8 @@ class AdaptiveAggregator final : public VectorAggregator {
   using Partial = PartialAggState<Aggregate>;
 
   /// Holistic aggregates buffer every value per group (the FinalizeRun
-  /// probe, as in core/hybrid_aggregator.h) — their resident entries are
-  /// fat, which the cost models must know.
+  /// probe) — their resident entries are fat, which the cost models must
+  /// know.
   static constexpr bool kHolistic =
       requires(uint64_t* v, size_t c) { Aggregate::FinalizeRun(v, c); };
 
@@ -160,17 +194,24 @@ class AdaptiveAggregator final : public VectorAggregator {
     reserve_hint_ = expected_groups;
   }
 
+  /// The first call samples the keys, starts the first strategy, and
+  /// decides at every chunk barrier. A later call continues in the current
+  /// strategy and consumes its whole batch in one chunk.
   void Build(const uint64_t* keys, const uint64_t* values, size_t n) override {
     Executor executor(exec_);
     const int workers = executor.num_workers();
-    rows_total_ = n;
-
-    AggStrategy first = workers > 1 ? AggStrategy::kLocalCentral
-                                    : AggStrategy::kSerialHash;
-    if (opt_.force_strategy >= 0) {
-      first = static_cast<AggStrategy>(opt_.force_strategy);
-      MEMAGG_CHECK(StrategyApplicable(first, workers));
+    if (mig_ != nullptr) {
+      if (n == 0) return;
+      const size_t grain = executor.MorselRows(n);
+      executor.ParallelForMorsels(
+          n, 0, NumMorselsFor(n, grain),
+          [&](const Morsel& m) { mig_->ConsumeMorsel(keys, values, m); },
+          grain);
+      return;
     }
+
+    const AggStrategy first =
+        FirstApplicableStrategy(opt_.strategies, workers);
     // One-time strided probes over the full (in-memory) column — O(4096)
     // each, independent of n — run *before* the first strategy exists: the
     // group estimate sizes its tables. Reserving for n rows (the fixed
@@ -204,7 +245,7 @@ class AdaptiveAggregator final : public VectorAggregator {
           grain);
       next_morsel = until;
       if (next_morsel >= num_morsels) break;
-      if (opt_.force_strategy >= 0) {
+      if (opt_.strategies.Single()) {
         chunk = num_morsels;  // Pinned: consume the rest in one go.
         continue;
       }
@@ -214,7 +255,7 @@ class AdaptiveAggregator final : public VectorAggregator {
   }
 
   VectorResult Iterate() override {
-    if (mig_ == nullptr) StartStrategy(AggStrategy::kSerialHash, 1, 1);
+    if (mig_ == nullptr) Build(nullptr, nullptr, 0);  // Starts a strategy.
     return mig_->Finish();
   }
 
@@ -368,8 +409,10 @@ class AdaptiveAggregator final : public VectorAggregator {
     in.entry_bytes = static_cast<double>(sizeof(State)) + 16.0 +
                      (kHolistic ? 8.0 * in.rows_total / est_groups : 0.0);
 
-    AggStrategy best = opt_.rotate ? NextApplicableStrategy(current_, workers)
-                                   : ChooseAggStrategy(in);
+    AggStrategy best =
+        opt_.rotate
+            ? NextApplicableStrategy(current_, workers, opt_.strategies)
+            : ChooseAggStrategy(in, opt_.strategies);
     const double stay = EstimatedStrategyCost(current_, in);
     const double migration = EstimatedMigrationCost(current_, best, progress);
     const double go = EstimatedStrategyCost(best, in) + migration;
@@ -430,7 +473,6 @@ class AdaptiveAggregator final : public VectorAggregator {
   AdaptiveOptions opt_;
   size_t expected_size_;
   size_t reserve_hint_ = 0;
-  uint64_t rows_total_ = 0;
   std::unique_ptr<VectorAggregator> op_;           ///< Owning handle.
   MigratableAggregator<Aggregate>* mig_ = nullptr; ///< Same object, migratable view.
   AggStrategy current_ = AggStrategy::kSerialHash;

@@ -33,6 +33,7 @@ enum class FunctionCategory { kDistributive, kAlgebraic, kHolistic };
 /// common distributive functions.
 enum class AggregateFunction { kCount, kSum, kMin, kMax, kAverage, kMedian,
                                kMode };
+inline constexpr size_t kNumAggregateFunctions = 7;
 
 /// Category of `fn` per the taxonomy above.
 inline FunctionCategory CategoryOf(AggregateFunction fn) {

@@ -1,248 +1,96 @@
 #include "core/engine.h"
 
-#include "core/adaptive_aggregator.h"
+#include <concepts>
+#include <cstdio>
+#include <ranges>
+#include <string>
+#include <vector>
+
 #include "core/advisor.h"
-#include "core/concepts.h"
-#include "core/hash_aggregator.h"
-#include "core/hybrid_aggregator.h"
-#include "core/local_partition_aggregator.h"
-#include "core/radix_partition_aggregator.h"
-#include "core/parallel_aggregator.h"
-#include "core/scalar.h"
-#include "core/sort_aggregator.h"
-#include "core/sorters.h"
-#include "core/tree_aggregator.h"
-#include "hash/chaining_map.h"
-#include "hash/concurrent_chaining_map.h"
-#include "hash/cuckoo_map.h"
-#include "hash/dense_map.h"
-#include "hash/linear_probing_map.h"
-#include "core/mph_aggregator.h"
-#include "hash/sparse_map.h"
+#include "core/label_registry.h"
 #include "mem/worker_arenas.h"
-#include "tree/art.h"
-#include "tree/btree.h"
-#include "tree/judy.h"
-#include "tree/ttree.h"
 #include "util/macros.h"
 
 namespace memagg {
 namespace {
 
-template <MergeableAggregatePolicy Aggregate>
-std::unique_ptr<VectorAggregator> MakeForAggregate(
-    const std::string& label, size_t expected_size,
-    const ExecutionContext& exec) {
-  const int num_threads = exec.num_threads;
-  // --- Hash-based (Table 3 / Table 8) ---
-  if (label == "Hash_LP") {
-    MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<HashVectorAggregator<LinearProbingMap, Aggregate>>(
-        expected_size);
-  }
-  if (label == "Hash_SC") {
-    MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<HashVectorAggregator<ChainingMap, Aggregate>>(
-        expected_size);
-  }
-  if (label == "Hash_SC_Global") {
-    // Allocator-ablation twin of Hash_SC: identical chaining table, nodes
-    // from global operator new instead of the arena pool (docs/memory.md).
-    MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<
-        HashVectorAggregator<ChainingMapGlobalNew, Aggregate>>(expected_size);
-  }
-  if (label == "Hash_Sparse") {
-    MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<HashVectorAggregator<SparseMap, Aggregate>>(
-        expected_size);
-  }
-  if (label == "Hash_Dense") {
-    MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<HashVectorAggregator<DenseMap, Aggregate>>(
-        expected_size);
-  }
-  if (label == "Hash_LC") {
-    if (num_threads == 1) {
-      return std::make_unique<HashVectorAggregator<CuckooMap, Aggregate>>(
-          expected_size);
-    }
-    return std::make_unique<CuckooParallelAggregator<Aggregate>>(
-        expected_size, exec);
-  }
-  if (label == "Hash_TBBSC") {
-    using Concurrent = typename ConcurrentAggregateFor<Aggregate>::type;
-    return std::make_unique<TbbStyleParallelAggregator<Concurrent>>(
-        expected_size, exec);
-  }
+const LabelRow& EngineRow(const std::string& label) {
+  return FindRow(kLabelTable<NullTracer>, label);
+}
 
-  // --- Extensions beyond the paper's Table 3 ---
-  if (label == "Adaptive") {
-    return std::make_unique<AdaptiveAggregator<Aggregate>>(expected_size,
-                                                           exec);
+/// The names of the rows that satisfy `keep`, in registry order. Each list
+/// is built once and never destroyed.
+template <std::predicate<const LabelInfo&> Keep>
+const std::vector<std::string>& NamesWhere(Keep keep) {
+  auto* names = new std::vector<std::string>;
+  for (const LabelInfo& info : AllLabels()) {
+    if (keep(info)) names->push_back(info.name);
   }
-  if (label == "Hybrid") {
-    return std::make_unique<HybridVectorAggregator<Aggregate>>(expected_size,
-                                                               exec);
-  }
-  if (label == "Hash_PLocal") {
-    return std::make_unique<LocalPartitionAggregator<Aggregate>>(
-        expected_size, exec);
-  }
-  if (label == "Hash_Striped") {
-    return std::make_unique<StripedParallelAggregator<Aggregate>>(
-        expected_size, exec);
-  }
-  if (label == "Hash_PRadix") {
-    return std::make_unique<RadixPartitionAggregator<Aggregate>>(
-        expected_size, exec);
-  }
-  if (label == "Hash_MPH") {
-    MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<MphVectorAggregator<Aggregate>>(expected_size);
-  }
-
-  // --- Tree-based (Table 3) ---
-  if (label == "ART") {
-    MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<TreeVectorAggregator<ArtTree, Aggregate>>();
-  }
-  if (label == "ART_Global") {
-    // Allocator-ablation twin of ART (see Hash_SC_Global above).
-    MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<
-        TreeVectorAggregator<ArtTreeGlobalNew, Aggregate>>();
-  }
-  if (label == "Judy") {
-    MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<TreeVectorAggregator<JudyArray, Aggregate>>();
-  }
-  if (label == "Btree") {
-    MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<TreeVectorAggregator<BTree, Aggregate>>();
-  }
-  if (label == "Ttree") {
-    MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<TreeVectorAggregator<TTree, Aggregate>>();
-  }
-
-  // --- Sort-based (Table 3 / Table 8 / microbenchmarks) ---
-  if (label == "Introsort") {
-    MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<
-        SortVectorAggregator<IntrosortSorter, Aggregate>>();
-  }
-  if (label == "Spreadsort") {
-    MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<
-        SortVectorAggregator<SpreadsortSorter, Aggregate>>();
-  }
-  if (label == "Quicksort") {
-    MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<
-        SortVectorAggregator<QuicksortSorter, Aggregate>>();
-  }
-  if (label == "Sort_MSBRadix") {
-    MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<SortVectorAggregator<MsbRadixSorter, Aggregate>>();
-  }
-  if (label == "Sort_LSBRadix") {
-    MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<SortVectorAggregator<LsbRadixSorter, Aggregate>>();
-  }
-  if (label == "Sort_QSLB") {
-    return std::make_unique<
-        SortVectorAggregator<ParallelQuicksortSorter, Aggregate>>(
-        ParallelQuicksortSorter{num_threads});
-  }
-  if (label == "Sort_BI") {
-    return std::make_unique<
-        SortVectorAggregator<BlockIndirectSorter, Aggregate>>(
-        BlockIndirectSorter{num_threads});
-  }
-  if (label == "Sort_SS") {
-    return std::make_unique<
-        SortVectorAggregator<SamplesortSorter, Aggregate>>(
-        SamplesortSorter{num_threads});
-  }
-  if (label == "Sort_TBB") {
-    return std::make_unique<
-        SortVectorAggregator<TaskQuicksortSorter, Aggregate>>(
-        TaskQuicksortSorter{num_threads});
-  }
-
-  std::fprintf(stderr, "Unknown algorithm label: %s\n", label.c_str());
-  MEMAGG_CHECK(false);
-  return nullptr;
+  return *names;
 }
 
 }  // namespace
 
+const std::vector<LabelInfo>& AllLabels() {
+  static const std::vector<LabelInfo>& labels = *[] {
+    auto infos =
+        kLabelTable<NullTracer> | std::views::transform(&LabelRow::info);
+    return new std::vector<LabelInfo>(infos.begin(), infos.end());
+  }();
+  return labels;
+}
+
+const LabelInfo& FindLabel(const std::string& label) {
+  return EngineRow(label).info;
+}
+
 AlgorithmCategory CategoryOfLabel(const std::string& label) {
-  if (label == "Hybrid") return AlgorithmCategory::kHash;  // Starts hashing.
-  if (label == "Adaptive") return AlgorithmCategory::kHash;  // Ditto.
-  if (label.rfind("Hash", 0) == 0) return AlgorithmCategory::kHash;
-  if (label == "ART" || label == "ART_Global" || label == "Judy" ||
-      label == "Btree" || label == "Ttree") {
-    return AlgorithmCategory::kTree;
-  }
-  if (label == "Introsort" || label == "Spreadsort" || label == "Quicksort" ||
-      label.rfind("Sort_", 0) == 0) {
-    return AlgorithmCategory::kSort;
-  }
-  std::fprintf(stderr, "Unknown algorithm label: %s\n", label.c_str());
-  MEMAGG_CHECK(false);
-  return AlgorithmCategory::kHash;
+  return FindLabel(label).category;
 }
 
 const std::vector<std::string>& SerialLabels() {
-  static const std::vector<std::string>& labels = *new std::vector<std::string>{
-      "ART",         "Judy",       "Btree",   "Hash_SC",   "Hash_LP",
-      "Hash_Sparse", "Hash_Dense", "Hash_LC", "Introsort", "Spreadsort"};
+  static const auto& labels =
+      NamesWhere([](const LabelInfo& info) { return info.table3; });
   return labels;
 }
 
 const std::vector<std::string>& ConcurrentLabels() {
-  static const std::vector<std::string>& labels =
-      *new std::vector<std::string>{"Hash_TBBSC", "Hash_LC", "Sort_BI",
-                                    "Sort_QSLB"};
+  static const auto& labels =
+      NamesWhere([](const LabelInfo& info) { return info.table8; });
   return labels;
 }
 
 const std::vector<std::string>& TreeLabels() {
-  static const std::vector<std::string>& labels =
-      *new std::vector<std::string>{"ART", "Judy", "Btree"};
+  static const auto& labels = NamesWhere([](const LabelInfo& info) {
+    return info.table3 && info.category == AlgorithmCategory::kTree;
+  });
   return labels;
 }
 
 const std::vector<std::string>& ScalarCapableLabels() {
-  static const std::vector<std::string>& labels =
-      *new std::vector<std::string>{"ART", "Judy", "Btree", "Introsort",
-                                    "Spreadsort"};
+  static const auto& labels = NamesWhere(
+      [](const LabelInfo& info) { return info.table3 && info.scalar_median; });
   return labels;
 }
 
 std::unique_ptr<VectorAggregator> MakeVectorAggregator(
     const std::string& label, AggregateFunction function, size_t expected_size,
     const ExecutionContext& exec) {
-  switch (function) {
-    case AggregateFunction::kCount:
-      return MakeForAggregate<CountAggregate>(label, expected_size, exec);
-    case AggregateFunction::kSum:
-      return MakeForAggregate<SumAggregate>(label, expected_size, exec);
-    case AggregateFunction::kMin:
-      return MakeForAggregate<MinAggregate>(label, expected_size, exec);
-    case AggregateFunction::kMax:
-      return MakeForAggregate<MaxAggregate>(label, expected_size, exec);
-    case AggregateFunction::kAverage:
-      return MakeForAggregate<AverageAggregate>(label, expected_size, exec);
-    case AggregateFunction::kMedian:
-      return MakeForAggregate<MedianAggregate>(label, expected_size, exec);
-    case AggregateFunction::kMode:
-      return MakeForAggregate<ModeAggregate>(label, expected_size, exec);
+  const LabelRow& row = EngineRow(label);
+  MEMAGG_CHECK((row.info.parallel || exec.num_threads == 1) &&
+               "serial label given more than one thread");
+  return row.make[static_cast<size_t>(function)](expected_size, exec);
+}
+
+std::unique_ptr<ScalarAggregator> MakeScalarMedianAggregator(
+    const std::string& label, const ExecutionContext& exec) {
+  const LabelRow& row = EngineRow(label);
+  if (row.make_scalar_median == nullptr) {
+    std::fprintf(stderr, "Label unsuitable for scalar median: %s\n",
+                 label.c_str());
+    MEMAGG_CHECK(false);
   }
-  MEMAGG_CHECK(false);
-  return nullptr;
+  return row.make_scalar_median(exec);
 }
 
 VectorQueryExecution ExecuteVectorQuery(const std::string& label,
@@ -295,45 +143,6 @@ VectorQueryExecution ExecuteVectorQuery(const std::string& label,
     execution.stats.Merge(exec.stats->Collect());
   }
   return execution;
-}
-
-std::unique_ptr<ScalarAggregator> MakeScalarMedianAggregator(
-    const std::string& label, const ExecutionContext& exec) {
-  const int num_threads = exec.num_threads;
-  if (label == "ART") {
-    return std::make_unique<TreeScalarMedianAggregator<ArtTree>>();
-  }
-  if (label == "Judy") {
-    return std::make_unique<TreeScalarMedianAggregator<JudyArray>>();
-  }
-  if (label == "Btree") {
-    return std::make_unique<TreeScalarMedianAggregator<BTree>>();
-  }
-  if (label == "Ttree") {
-    return std::make_unique<TreeScalarMedianAggregator<TTree>>();
-  }
-  if (label == "Introsort") {
-    return std::make_unique<SortScalarMedianAggregator<IntrosortSorter>>();
-  }
-  if (label == "Spreadsort") {
-    return std::make_unique<SortScalarMedianAggregator<SpreadsortSorter>>();
-  }
-  if (label == "Quicksort") {
-    return std::make_unique<SortScalarMedianAggregator<QuicksortSorter>>();
-  }
-  if (label == "Sort_BI") {
-    return std::make_unique<SortScalarMedianAggregator<BlockIndirectSorter>>(
-        BlockIndirectSorter{num_threads});
-  }
-  if (label == "Sort_QSLB") {
-    return std::make_unique<
-        SortScalarMedianAggregator<ParallelQuicksortSorter>>(
-        ParallelQuicksortSorter{num_threads});
-  }
-  std::fprintf(stderr, "Label unsuitable for scalar median: %s\n",
-               label.c_str());
-  MEMAGG_CHECK(false);
-  return nullptr;
 }
 
 }  // namespace memagg

@@ -1,13 +1,9 @@
-// The memagg engine: a registry mapping the paper's algorithm labels
-// (Table 3 and Table 8) to aggregation operators.
-//
-// Serial labels (Table 3): ART, Judy, Btree, Ttree, Hash_SC, Hash_LP,
-// Hash_Sparse, Hash_Dense, Hash_LC, Introsort, Spreadsort, plus the extra
-// sort algorithms evaluated in the microbenchmarks (Quicksort,
-// Sort_MSBRadix, Sort_LSBRadix).
-//
-// Concurrent labels (Table 8): Hash_TBBSC, Hash_LC, Sort_BI, Sort_QSLB,
-// plus Sort_SS and Sort_TBB from the parallel sort microbenchmark.
+// The memagg engine: the label registry (core/label_registry.h) maps the
+// paper's algorithm labels — Table 3 (serial), Table 8 (concurrent), and
+// the extensions beyond the paper — to aggregation operators. It is the one
+// place the label set is spelled; the factories, CategoryOfLabel, and the
+// list functions below, the cache-traced twins (sim/traced_engine.h), and
+// the benches all read it.
 
 #ifndef MEMAGG_CORE_ENGINE_H_
 #define MEMAGG_CORE_ENGINE_H_
@@ -27,35 +23,58 @@ namespace memagg {
 /// Which family a label belongs to (paper Dimension 1).
 enum class AlgorithmCategory { kHash, kTree, kSort };
 
+/// One label's registry row, without its factories.
+struct LabelInfo {
+  const char* name;
+  AlgorithmCategory category;
+  bool parallel;       ///< Accepts num_threads > 1; the rest abort on it.
+  bool table3;         ///< In the paper's Table 3 (serial).
+  bool table8;         ///< In the paper's Table 8 (concurrent).
+  bool scalar_median;  ///< Has a Q6 scalar-median operator.
+  bool traced;         ///< Has a cache-traced twin (sim/traced_engine.h).
+};
+
+/// The adaptive operator's label, which the experiment driver's "auto"
+/// runs for vector group-bys (core/experiment.h).
+inline constexpr char kAdaptiveLabel[] = "Adaptive";
+
+/// Every registered label, in registry order.
+const std::vector<LabelInfo>& AllLabels();
+
+/// The row of `label`; aborts with "Unknown algorithm label" if none.
+const LabelInfo& FindLabel(const std::string& label);
+
 /// Category of a known label; aborts on unknown labels.
 AlgorithmCategory CategoryOfLabel(const std::string& label);
 
 /// The ten Table 3 labels, in paper order.
 const std::vector<std::string>& SerialLabels();
 
-/// The four Table 8 concurrent labels, in paper order.
+/// The four Table 8 labels, in paper order.
 const std::vector<std::string>& ConcurrentLabels();
 
-/// The tree labels (Q7 / range-search capable).
+/// The Table 3 tree labels (Q7 / range-search capable). The range-capable
+/// Ttree is not in Table 3, so it is not listed.
 const std::vector<std::string>& TreeLabels();
 
-/// Labels usable for scalar median (Q6): trees and sorts.
+/// The Table 3 labels with a Q6 scalar-median operator (trees and sorts).
+/// Ttree, Quicksort, Sort_BI, and Sort_QSLB have one too but are not in
+/// Table 3, so they are not listed.
 const std::vector<std::string>& ScalarCapableLabels();
 
 /// Creates a vector-aggregation operator for `label` computing `function`.
 /// `expected_size` pre-sizes hash tables (pass the record count, per the
 /// paper's assumption). `exec` carries the thread budget (an int converts
-/// implicitly): num_threads > 1 selects the concurrent variant for
-/// concurrent-capable labels (Hash_TBBSC, Hash_LC, Hybrid, Sort_BI,
-/// Sort_QSLB, Sort_SS, Sort_TBB and the Hash_P*/Hash_Striped extensions);
-/// serial-only labels require num_threads == 1. All parallel operators run
-/// on the shared morsel-driven scheduler (src/exec/) — no operator spawns
-/// threads of its own.
+/// implicitly): num_threads > 1 selects the concurrent variant of a
+/// parallel label (LabelInfo::parallel); serial labels abort on it. All
+/// parallel operators run on the shared morsel-driven scheduler (src/exec/)
+/// — no operator spawns threads of its own.
 std::unique_ptr<VectorAggregator> MakeVectorAggregator(
     const std::string& label, AggregateFunction function, size_t expected_size,
     const ExecutionContext& exec = {});
 
-/// Creates a scalar-median (Q6) operator for a tree or sort label.
+/// Creates a scalar-median (Q6) operator for a label with one
+/// (LabelInfo::scalar_median: the trees and most sorts); aborts otherwise.
 std::unique_ptr<ScalarAggregator> MakeScalarMedianAggregator(
     const std::string& label, const ExecutionContext& exec = {});
 

@@ -27,7 +27,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     // so those keep the Figure 12 advisor's static recommendation.
     result.algorithm = config.query.output == OutputFormat::kVector &&
                                !config.query.has_range_condition
-                           ? "Adaptive"
+                           ? kAdaptiveLabel
                            : RecommendAlgorithm(ProfileForQuery(
                                  config.query, /*worm=*/false,
                                  /*prebuilt_index=*/false, config.num_threads));

@@ -11,8 +11,8 @@
 // snapshots, and can hand its partially built group state to a different
 // strategy without reprocessing the consumed rows.
 //
-// Migration protocol (same partial-state shape as the hybrid operator's
-// hash→sort spill, core/hybrid_aggregator.h):
+// Migration protocol (the hash→sort spill of the "Hybrid" label is one
+// instance of it):
 //
 //   * Distributive/algebraic aggregates travel as (key, State) partials and
 //     recombine with Aggregate::Merge — order-independent, so results are

@@ -39,7 +39,9 @@ class VectorAggregator {
   virtual ~VectorAggregator() = default;
 
   /// Build phase: consumes `n` records. `values` may be nullptr when the
-  /// aggregate ignores the value column (COUNT(*)).
+  /// aggregate ignores the value column (COUNT(*)). Builds accumulate: a
+  /// later call adds its records to those of earlier calls, so Iterate()
+  /// aggregates every batch as if it had arrived in one call.
   virtual void Build(const uint64_t* keys, const uint64_t* values,
                      size_t n) = 0;
 
@@ -49,7 +51,7 @@ class VectorAggregator {
   /// which is what makes sorting the most memory-efficient approach in its
   /// Tables 6-7. The default implementation builds from the columns and then
   /// discards them. `values` may be empty for COUNT(*). May be called only
-  /// once, on an empty operator.
+  /// once, on an empty operator (the sort operators check it).
   virtual void BuildOwned(std::vector<uint64_t>&& keys,
                           std::vector<uint64_t>&& values) {
     Build(keys.data(), values.empty() ? nullptr : values.data(), keys.size());

@@ -47,31 +47,36 @@ class SortVectorAggregator final : public VectorAggregator,
   explicit SortVectorAggregator(SorterT sorter = SorterT{})
       : sorter_(std::move(sorter)) {}
 
+  /// Appends the batch and keeps the buffer sorted: the new rows are sorted
+  /// and merged into the rows of earlier calls, so a first Build is one
+  /// sort of the batch.
   void Build(const uint64_t* keys, const uint64_t* values,
              size_t n) override {
     if constexpr (Aggregate::kNeedsValues) {
-      records_.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        records_[i] = {keys[i], values[i]};
+      const size_t old = records_.size();
+      records_.resize(old + n);
+      for (size_t i = old; i < old + n; ++i) {
+        records_[i] = {keys[i - old], values[i - old]};
         Tracer::OnAccess(&records_[i], sizeof(records_[i]));
       }
-      PhaseTimer sort_timer(&stats_, StatPhase::kSort);
-      sorter_(records_.data(), records_.data() + n, PairFirstKey{});
+      SortAppended(records_, old, PairFirstKey{});
     } else {
-      keys_.assign(keys, keys + n);
+      const size_t old = keys_.size();
+      keys_.insert(keys_.end(), keys, keys + n);
       if constexpr (Tracer::kEnabled) {
-        for (size_t i = 0; i < n; ++i) {
+        for (size_t i = old; i < old + n; ++i) {
           Tracer::OnAccess(&keys_[i], sizeof(uint64_t));
         }
       }
-      PhaseTimer sort_timer(&stats_, StatPhase::kSort);
-      sorter_(keys_.data(), keys_.data() + n, IdentityKey{});
+      SortAppended(keys_, old, IdentityKey{});
     }
     stats_.Add(StatCounter::kRowsSorted, n);
   }
 
   void BuildOwned(std::vector<uint64_t>&& keys,
                   std::vector<uint64_t>&& values) override {
+    MEMAGG_CHECK(keys_.empty() && records_.empty() &&
+                 "BuildOwned runs once, on an empty operator");
     if constexpr (Aggregate::kNeedsValues) {
       // (key, value) records must be materialized, but the source columns
       // are released as soon as they are zipped.
@@ -104,7 +109,7 @@ class SortVectorAggregator final : public VectorAggregator,
   // Morsel-path consumption only buffers (key, value) records per worker —
   // no aggregation work happens until Finish(), which sorts the gathered
   // buffers and merge-joins them with any partial states absorbed from a
-  // predecessor hash strategy (the hybrid operator's SortedIterate shape).
+  // predecessor hash strategy (the hash→sort spill).
 
   void BeginConsume(int num_workers, size_t expected_rows) override {
     MEMAGG_CHECK(consume_buffers_ == nullptr && "BeginConsume is once-only");
@@ -170,22 +175,24 @@ class SortVectorAggregator final : public VectorAggregator,
   }
 
   VectorResult Finish() override {
-    RecordVec records;
+    // The buffered rows move into records_, where NumGroups() and
+    // DataStructureBytes() see them after the run.
     if (consume_buffers_ != nullptr) {
       size_t total = 0;
       consume_buffers_->ForEach(
           [&total](RecordVec& buf) { total += buf.size(); });
-      records.reserve(total);
-      consume_buffers_->ForEach([&records](RecordVec& buf) {
-        records.insert(records.end(), buf.begin(), buf.end());
+      records_.reserve(total);
+      consume_buffers_->ForEach([this](RecordVec& buf) {
+        records_.insert(records_.end(), buf.begin(), buf.end());
         RecordVec().swap(buf);
       });
     }
     {
       PhaseTimer sort_timer(&stats_, StatPhase::kSort);
-      sorter_(records.data(), records.data() + records.size(), PairFirstKey{});
+      sorter_(records_.data(), records_.data() + records_.size(),
+              PairFirstKey{});
     }
-    stats_.Add(StatCounter::kRowsSorted, records.size());
+    stats_.Add(StatCounter::kRowsSorted, records_.size());
     // Partials sort by key so the scan below is a linear merge-join;
     // duplicate keys (one per predecessor worker table) coalesce via Merge.
     std::sort(absorbed_.begin(), absorbed_.end(),
@@ -204,16 +211,16 @@ class SortVectorAggregator final : public VectorAggregator,
         result.push_back({key, Aggregate::Finalize(state)});
       }
     };
-    const size_t n = records.size();
+    const size_t n = records_.size();
     size_t run_start = 0;
     while (run_start < n) {
-      const EncodedKey key = records[run_start].first;
+      const EncodedKey key = records_[run_start].first;
       size_t run_end = run_start + 1;
-      while (run_end < n && records[run_end].first == key) ++run_end;
+      while (run_end < n && records_[run_end].first == key) ++run_end;
       emit_partials_below(key, /*inclusive=*/false);
       typename Aggregate::State state{};
       for (size_t i = run_start; i < run_end; ++i) {
-        Aggregate::Update(state, records[i].second);
+        Aggregate::Update(state, records_[i].second);
       }
       MergeSameKeyPartials(key, &state, &pi);
       result.push_back({key, Aggregate::Finalize(state)});
@@ -231,23 +238,30 @@ class SortVectorAggregator final : public VectorAggregator,
     return IterateImpl(lo, hi);
   }
 
+  /// Distinct keys across every row and partial state held. Counted on a
+  /// key copy: during a morsel-path run the rows sit unsorted in per-worker
+  /// buffers, and a const call must not reorder them.
   size_t NumGroups() const override {
-    size_t groups = 0;
-    if constexpr (Aggregate::kNeedsValues) {
-      for (size_t i = 0; i < records_.size(); ++i) {
-        if (i == 0 || records_[i].first != records_[i - 1].first) ++groups;
-      }
-    } else {
-      for (size_t i = 0; i < keys_.size(); ++i) {
-        if (i == 0 || keys_[i] != keys_[i - 1]) ++groups;
+    std::vector<EncodedKey> keys(keys_.begin(), keys_.end());
+    const auto add_keys = [&keys](const auto& rows) {
+      for (const auto& row : rows) keys.push_back(row.first);
+    };
+    add_keys(records_);
+    add_keys(absorbed_);
+    if (consume_buffers_ != nullptr) {
+      for (int w = 0; w < consume_buffers_->size(); ++w) {
+        add_keys((*consume_buffers_)[w]);
       }
     }
-    return groups;
+    std::sort(keys.begin(), keys.end());
+    return static_cast<size_t>(std::unique(keys.begin(), keys.end()) -
+                               keys.begin());
   }
 
   size_t DataStructureBytes() const override {
     return keys_.capacity() * sizeof(uint64_t) +
-           records_.capacity() * sizeof(std::pair<uint64_t, uint64_t>);
+           records_.capacity() * sizeof(std::pair<uint64_t, uint64_t>) +
+           Progress().bytes;
   }
 
   void CollectStats(QueryStats* stats) const override {
@@ -317,6 +331,16 @@ class SortVectorAggregator final : public VectorAggregator,
       }
       return Aggregate::Finalize(state);
     }
+  }
+
+  /// Sorts rows [old, end) and merges them into the sorted rows before
+  /// them.
+  template <SortableRecord Row, KeyExtractor<Row> KeyOf>
+  void SortAppended(std::vector<Row>& rows, size_t old, KeyOf key_of) {
+    PhaseTimer sort_timer(&stats_, StatPhase::kSort);
+    sorter_(rows.data() + old, rows.data() + rows.size(), key_of);
+    std::inplace_merge(rows.begin(), rows.begin() + old, rows.end(),
+                       KeyLess<KeyOf>{key_of});
   }
 
   using RecordVec = std::vector<std::pair<uint64_t, uint64_t>>;

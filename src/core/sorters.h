@@ -6,6 +6,9 @@
 #ifndef MEMAGG_CORE_SORTERS_H_
 #define MEMAGG_CORE_SORTERS_H_
 
+#include <cstdint>
+#include <type_traits>
+
 #include "core/concepts.h"
 #include "sort/block_indirect_sort.h"
 #include "sort/introsort.h"
@@ -17,6 +20,7 @@
 #include "sort/spreadsort.h"
 #include "sort/task_quicksort.h"
 #include "util/encoded_key.h"
+#include "util/tracer.h"
 
 namespace memagg {
 
@@ -95,6 +99,27 @@ struct TaskQuicksortSorter {
     TaskQuickSort(first, last, KeyLess<KeyOf>{key_of}, num_threads);
   }
 };
+
+/// Any Sorter, reporting each element its KeyOf reads to `Tracer`. Sorts
+/// reach their elements through KeyOf and comparisons, so this traces their
+/// access pattern without touching the kernels (sim/traced_engine.h).
+template <Sorter Inner, MemoryTracer Tracer>
+struct TracingSorter {
+  Inner inner;
+  template <SortableRecord T, KeyExtractor<T> KeyOf>
+  void operator()(T* first, T* last, KeyOf key_of) const {
+    inner(first, last, [key_of](const T& element) -> uint64_t {
+      Tracer::OnAccess(&element, sizeof(T));
+      return key_of(element);
+    });
+  }
+};
+
+/// `Inner` itself when tracing is off, so untraced operators keep their
+/// plain sorter type.
+template <Sorter Inner, MemoryTracer Tracer>
+using TracedSorter =
+    std::conditional_t<Tracer::kEnabled, TracingSorter<Inner, Tracer>, Inner>;
 
 // Every functor above models Sorter; the thread-budgeted ones also model
 // ParallelSorter (core/concepts.h).

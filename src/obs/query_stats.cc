@@ -12,7 +12,7 @@ constexpr const char* kPhaseNames[kNumStatPhases] = {
 constexpr const char* kCounterNames[kNumStatCounters] = {
     "rows_built",    "groups_out",    "hash_entries",   "rehashes",
     "probe_total",   "probe_max",     "chain_max",      "cuckoo_kicks",
-    "hybrid_spills", "rows_sorted",   "tree_nodes",     "tree_height",
+    "rows_sorted",   "tree_nodes",    "tree_height",
     "partitions",    "merge_rounds",  "morsels_claimed", "workers_used",
     "arena_chunks",  "arena_bytes_reserved", "arena_bytes_used",
     "arena_bytes_wasted", "freelist_reuses", "rehashes_saved",

@@ -3,7 +3,7 @@
 // QueryStats is a flat snapshot of one query's execution: per-phase timings
 // (partition/build/sort/iterate/merge) plus monotonic counters reported by
 // the operators and the morsel executor (rehashes, probe distances, cuckoo
-// kicks, hybrid spills, morsels claimed, merge rounds, ...). StatsRegistry
+// kicks, strategy switches, morsels claimed, merge rounds, ...). StatsRegistry
 // holds one cache-line-padded QueryStats shard per worker slot so parallel
 // phases record without synchronization; Collect() merges the shards.
 //
@@ -64,7 +64,6 @@ enum class StatCounter : size_t {
   kProbeMax,           ///< Longest probe distance (max-merged).
   kChainMax,           ///< Longest collision chain (max-merged).
   kCuckooKicks,        ///< Cuckoo displacement moves.
-  kHybridSpills,       ///< Hybrid hash→sort switch events.
   kRowsSorted,         ///< Rows passed through a sort kernel.
   kTreeNodes,          ///< Inner + leaf nodes of tree structures.
   kTreeHeight,         ///< Structure depth (max-merged).
@@ -82,7 +81,7 @@ enum class StatCounter : size_t {
   kRowsMigrated,       ///< Rows' worth of partial state moved across a switch.
   kAdaptiveStrategy,   ///< Final adaptive strategy id + 1 (max-merged).
 };
-inline constexpr size_t kNumStatCounters = 25;
+inline constexpr size_t kNumStatCounters = 24;
 
 /// Stable lowercase identifier (JSON key) for a phase / counter.
 const char* StatPhaseName(StatPhase phase);

@@ -1,135 +1,26 @@
 #include "sim/traced_engine.h"
 
-#include "core/hash_aggregator.h"
-#include "core/sort_aggregator.h"
-#include "core/sorters.h"
-#include "core/tree_aggregator.h"
-#include "hash/chaining_map.h"
-#include "hash/cuckoo_map.h"
-#include "hash/dense_map.h"
-#include "hash/linear_probing_map.h"
-#include "hash/sparse_map.h"
+#include <cstdio>
+
+#include "core/label_registry.h"
 #include "sim/sim_tracer.h"
-#include "tree/art.h"
-#include "tree/btree.h"
-#include "tree/judy.h"
-#include "tree/ttree.h"
 #include "util/macros.h"
 
 namespace memagg {
-namespace {
-
-// Traced aliases: the same structures, reporting accesses to SimTracer.
-template <typename V>
-using TracedLp = LinearProbingMap<V, SimTracer>;
-template <typename V>
-using TracedSc = ChainingMap<V, SimTracer>;
-template <typename V>
-using TracedSparse = SparseMap<V, SimTracer>;
-template <typename V>
-using TracedDense = DenseMap<V, SimTracer>;
-template <typename V>
-using TracedCuckoo = CuckooMap<V, SimTracer>;
-template <typename V>
-using TracedArt = ArtTree<V, SimTracer>;
-template <typename V>
-using TracedJudy = JudyArray<V, SimTracer>;
-template <typename V>
-using TracedBtree = BTree<V, SimTracer>;
-template <typename V>
-using TracedTtree = TTree<V, SimTracer>;
-
-/// KeyOf wrapper reporting each element access to the simulator. Sorting
-/// algorithms read elements through KeyOf/comparisons, so this captures
-/// their access pattern without modifying the kernels.
-template <typename KeyOf>
-struct TracingKeyOf {
-  KeyOf inner;
-  template <typename T>
-  uint64_t operator()(const T& element) const {
-    SimTracer::OnAccess(&element, sizeof(T));
-    return inner(element);
-  }
-};
-
-struct TracedIntrosortSorter {
-  template <typename T, typename KeyOf>
-  void operator()(T* first, T* last, KeyOf key_of) const {
-    IntroSort(first, last, KeyLess<TracingKeyOf<KeyOf>>{{key_of}});
-  }
-};
-
-struct TracedSpreadsortSorter {
-  template <typename T, typename KeyOf>
-  void operator()(T* first, T* last, KeyOf key_of) const {
-    SpreadSort(first, last, TracingKeyOf<KeyOf>{key_of});
-  }
-};
-
-template <typename Aggregate>
-std::unique_ptr<VectorAggregator> MakeTracedForAggregate(
-    const std::string& label, size_t expected_size) {
-  if (label == "Hash_LP") {
-    return std::make_unique<HashVectorAggregator<TracedLp, Aggregate>>(
-        expected_size);
-  }
-  if (label == "Hash_SC") {
-    return std::make_unique<HashVectorAggregator<TracedSc, Aggregate>>(
-        expected_size);
-  }
-  if (label == "Hash_Sparse") {
-    return std::make_unique<HashVectorAggregator<TracedSparse, Aggregate>>(
-        expected_size);
-  }
-  if (label == "Hash_Dense") {
-    return std::make_unique<HashVectorAggregator<TracedDense, Aggregate>>(
-        expected_size);
-  }
-  if (label == "Hash_LC") {
-    return std::make_unique<HashVectorAggregator<TracedCuckoo, Aggregate>>(
-        expected_size);
-  }
-  if (label == "ART") {
-    return std::make_unique<TreeVectorAggregator<TracedArt, Aggregate>>();
-  }
-  if (label == "Judy") {
-    return std::make_unique<TreeVectorAggregator<TracedJudy, Aggregate>>();
-  }
-  if (label == "Btree") {
-    return std::make_unique<TreeVectorAggregator<TracedBtree, Aggregate>>();
-  }
-  if (label == "Ttree") {
-    return std::make_unique<TreeVectorAggregator<TracedTtree, Aggregate>>();
-  }
-  if (label == "Introsort") {
-    return std::make_unique<SortVectorAggregator<TracedIntrosortSorter,
-                                                 Aggregate, SimTracer>>();
-  }
-  if (label == "Spreadsort") {
-    return std::make_unique<SortVectorAggregator<TracedSpreadsortSorter,
-                                                 Aggregate, SimTracer>>();
-  }
-  std::fprintf(stderr, "No traced operator for label: %s\n", label.c_str());
-  MEMAGG_CHECK(false);
-  return nullptr;
-}
-
-}  // namespace
 
 std::unique_ptr<VectorAggregator> MakeTracedVectorAggregator(
     const std::string& label, AggregateFunction function, size_t expected_size,
     const ExecutionContext& exec) {
   MEMAGG_CHECK(exec.num_threads == 1);
-  switch (function) {
-    case AggregateFunction::kCount:
-      return MakeTracedForAggregate<CountAggregate>(label, expected_size);
-    case AggregateFunction::kMedian:
-      return MakeTracedForAggregate<MedianAggregate>(label, expected_size);
-    default:
-      break;
+  const VectorFactory make = FindRow(kLabelTable<SimTracer>, label)
+                                 .make[static_cast<size_t>(function)];
+  if (make == nullptr) {
+    // Traced twins exist for LabelInfo::traced rows, COUNT and MEDIAN only.
+    std::fprintf(stderr, "No traced operator for label: %s computing %s\n",
+                 label.c_str(), AggregateFunctionName(function).c_str());
+    MEMAGG_CHECK(false);
   }
-  MEMAGG_CHECK(false && "traced operators support COUNT and MEDIAN");
-  return nullptr;
+  return make(expected_size, exec);
 }
 
 }  // namespace memagg

@@ -281,19 +281,202 @@ TEST(AdaptiveTest, EmptyInputYieldsEmptyResult) {
   EXPECT_EQ(adaptive.strategy_switches(), 0u);
 }
 
-TEST(AdaptiveTest, ForceStrategyPinsTheChoice) {
+TEST(AdaptiveTest, OneMemberSetPinsTheChoice) {
   DatasetSpec spec{Distribution::kRseqShuffled, 50000, 1000, 87};
   const auto keys = GenerateKeys(spec);
   ExecutionContext exec{2};
   exec.morsel_rows = 1024;
   AdaptiveOptions options;
-  options.force_strategy = static_cast<int>(AggStrategy::kSharedMap);
+  options.strategies = AggStrategySet::Of({AggStrategy::kSharedMap});
   AdaptiveAggregator<CountAggregate> adaptive(keys.size(), exec, options);
   adaptive.Build(keys.data(), nullptr, keys.size());
   EXPECT_EQ(adaptive.Iterate().size(), CountDistinct(keys));
   EXPECT_EQ(adaptive.strategy_switches(), 0u);
   EXPECT_EQ(adaptive.current_strategy(), AggStrategy::kSharedMap);
   EXPECT_EQ(adaptive.switch_trace(), "shared-map@0");
+}
+
+TEST(AdaptiveTest, SortFinishReportsGroupsAndBytes) {
+  // A run that finishes on its sort strategy holds its rows in the sort
+  // operator's buffers; both introspection calls must see them, before and
+  // after Iterate().
+  DatasetSpec spec{Distribution::kRseqShuffled, 100000, 5000, 92};
+  const auto keys = GenerateKeys(spec);
+  for (const int threads : {1, 4}) {
+    AdaptiveOptions options;
+    options.strategies = AggStrategySet::Of({AggStrategy::kSort});
+    AdaptiveAggregator<CountAggregate> adaptive(keys.size(),
+                                                ExecutionContext{threads},
+                                                options);
+    adaptive.Build(keys.data(), nullptr, keys.size());
+    EXPECT_EQ(adaptive.NumGroups(), 5000u) << threads;
+    EXPECT_GT(adaptive.DataStructureBytes(), 0u) << threads;
+    EXPECT_EQ(adaptive.Iterate().size(), 5000u) << threads;
+    EXPECT_EQ(adaptive.NumGroups(), 5000u) << threads;
+    EXPECT_GT(adaptive.DataStructureBytes(), 0u) << threads;
+  }
+}
+
+// --- The Hybrid set: hash (or local-central) with the sort fallback. ---
+
+/// Options that force one hash→sort switch on a single worker: the
+/// rotation hook switches at the first barrier, after the one-morsel
+/// sampling chunk, and the doubled chunk then finishes a three-morsel input
+/// in sort.
+AdaptiveOptions ForcedHybridSwitch() {
+  AdaptiveOptions options;
+  options.strategies = kHybridStrategies;
+  options.rotate = true;
+  options.sample_morsels = 1;
+  return options;
+}
+
+TEST(HybridTest, NumGroupsIsExactAndConstInSortMode) {
+  // Keys 0..10 are hashed, then the switch spills them to sort, which also
+  // takes 0..20: NumGroups() must count the keys on both sides of the
+  // switch once, without reordering the buffers under a const call.
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 0; k <= 10; ++k) keys.push_back(k);
+  for (uint64_t k = 0; k <= 20; ++k) keys.push_back(k);
+  ExecutionContext exec{1};
+  exec.morsel_rows = 11;
+  AdaptiveAggregator<CountAggregate> hybrid(keys.size(), exec,
+                                            ForcedHybridSwitch());
+  hybrid.Build(keys.data(), nullptr, keys.size());
+  ASSERT_EQ(hybrid.current_strategy(), AggStrategy::kSort);
+  EXPECT_EQ(hybrid.switch_trace(), "hash@0->sort@11");
+
+  EXPECT_EQ(hybrid.NumGroups(), 21u);
+  EXPECT_EQ(hybrid.NumGroups(), 21u);
+  auto result = hybrid.Iterate();
+  EXPECT_EQ(hybrid.NumGroups(), 21u);
+  SortByKey(result);
+  EXPECT_EQ(result,
+            ReferenceVectorAggregate(keys, {}, AggregateFunction::kCount));
+}
+
+template <MergeableAggregatePolicy Aggregate>
+void ExpectForcedSwitchIsExact(AggregateFunction fn) {
+  DatasetSpec spec{Distribution::kZipf, 30000, 1000, 93};
+  const auto keys = GenerateKeys(spec);
+  const auto values = GenerateValues(keys.size(), 500, 94);
+  ExecutionContext exec{1};
+  exec.morsel_rows = 10000;
+  AdaptiveAggregator<Aggregate> hybrid(keys.size(), exec,
+                                       ForcedHybridSwitch());
+  hybrid.Build(keys.data(), values.data(), keys.size());
+  EXPECT_EQ(hybrid.strategy_switches(), 1u) << AggregateFunctionName(fn);
+  auto result = hybrid.Iterate();
+  SortByKey(result);
+  const auto expected = ReferenceVectorAggregate(keys, values, fn);
+  ASSERT_EQ(result.size(), expected.size()) << AggregateFunctionName(fn);
+  for (size_t i = 0; i < result.size(); ++i) {
+    EXPECT_EQ(result[i].key, expected[i].key);
+    EXPECT_DOUBLE_EQ(result[i].value, expected[i].value);
+  }
+}
+
+TEST(HybridTest, SwitchKeepsDistributiveAlgebraicAndHolisticExact) {
+  ExpectForcedSwitchIsExact<CountAggregate>(AggregateFunction::kCount);
+  ExpectForcedSwitchIsExact<AverageAggregate>(AggregateFunction::kAverage);
+  ExpectForcedSwitchIsExact<MedianAggregate>(AggregateFunction::kMedian);
+}
+
+TEST(HybridTest, LowCardinalityStaysOnItsHashStrategy) {
+  DatasetSpec spec{Distribution::kRseqShuffled, 200000, 64, 95};
+  const auto keys = GenerateKeys(spec);
+  for (const int threads : {1, 4}) {
+    AdaptiveOptions options;
+    options.strategies = kHybridStrategies;
+    AdaptiveAggregator<CountAggregate> hybrid(keys.size(),
+                                              ExecutionContext{threads},
+                                              options);
+    hybrid.Build(keys.data(), nullptr, keys.size());
+    EXPECT_EQ(hybrid.Iterate().size(), 64u);
+    EXPECT_EQ(hybrid.switch_trace(),
+              threads == 1 ? "hash@0" : "local-central@0");
+  }
+}
+
+TEST(HybridTest, ExplodingGroupsFallBackToSort) {
+  // All-distinct keys against a small configured L3: the worker-local
+  // tables' merge grows with the group count, and the only other member of
+  // the set is sort.
+  const size_t n = 1 << 20;
+  DatasetSpec spec{Distribution::kRseqShuffled, n, n, 96};
+  const auto keys = GenerateKeys(spec);
+  AdaptiveOptions options;
+  options.strategies = kHybridStrategies;
+  options.l3_bytes = 256 * 1024;
+  AdaptiveAggregator<CountAggregate> hybrid(n, ExecutionContext{4}, options);
+  hybrid.Build(keys.data(), nullptr, n);
+  EXPECT_EQ(hybrid.Iterate().size(), CountDistinct(keys));
+  EXPECT_EQ(hybrid.current_strategy(), AggStrategy::kSort);
+  EXPECT_EQ(hybrid.switch_trace().rfind("local-central@0->sort@", 0), 0u)
+      << hybrid.switch_trace();
+}
+
+TEST(HybridTest, RotationVisitsOnlyTheSetsMembers) {
+  DatasetSpec spec{Distribution::kRseqShuffled, 60000, 4096, 97};
+  const auto keys = GenerateKeys(spec);
+  ExecutionContext exec{4};
+  exec.morsel_rows = 1024;
+  AdaptiveOptions options;
+  options.strategies = kHybridStrategies;
+  options.rotate = true;
+  options.chunk_morsels = 1;
+  AdaptiveAggregator<CountAggregate> hybrid(keys.size(), exec, options);
+  hybrid.Build(keys.data(), nullptr, keys.size());
+  EXPECT_EQ(hybrid.Iterate().size(), CountDistinct(keys));
+  EXPECT_GE(hybrid.strategy_switches(), 10u);
+  const std::string& trace = hybrid.switch_trace();
+  for (size_t at = 0; at < trace.size();) {
+    const size_t name_end = trace.find('@', at);
+    const std::string name = trace.substr(at, name_end - at);
+    EXPECT_TRUE(name == "local-central" || name == "sort") << trace;
+    const size_t arrow = trace.find("->", name_end);
+    at = arrow == std::string::npos ? trace.size() : arrow + 2;
+  }
+}
+
+TEST(HybridTest, EngineLabelMatchesTheReferenceOnEveryDistribution) {
+  for (Distribution d : kAllDistributions) {
+    for (uint64_t cardinality : {64ULL, 8192ULL}) {
+      DatasetSpec spec{d, 60000, cardinality, 109};
+      const auto keys = GenerateKeys(spec);
+      const auto expected =
+          ReferenceVectorAggregate(keys, {}, AggregateFunction::kCount);
+      for (const int threads : {1, 4}) {
+        auto execution = ExecuteVectorQuery(
+            "Hybrid", AggregateFunction::kCount, keys.data(), nullptr,
+            keys.size(), keys.size(), ExecutionContext{threads});
+        SortByKey(execution.result);
+        EXPECT_EQ(execution.result, expected)
+            << DistributionName(d) << " c=" << cardinality << " @"
+            << threads;
+      }
+    }
+  }
+}
+
+TEST(HybridTest, ChoiceStaysInsideTheSet) {
+  StrategyCostInputs in;
+  in.rows_remaining = in.rows_total = 1e7;
+  in.workers = 4;
+  in.l3_bytes = 32 << 20;
+  for (const double groups : {1e2, 1e5, 1e7}) {
+    in.est_groups = groups;
+    const AggStrategy pick = ChooseAggStrategy(in, kHybridStrategies);
+    EXPECT_TRUE(pick == AggStrategy::kLocalCentral ||
+                pick == AggStrategy::kSort)
+        << AggStrategyName(pick) << " at " << groups << " groups";
+  }
+  EXPECT_EQ(FirstApplicableStrategy(kHybridStrategies, 1),
+            AggStrategy::kSerialHash);
+  EXPECT_EQ(FirstApplicableStrategy(kHybridStrategies, 4),
+            AggStrategy::kLocalCentral);
+  EXPECT_EQ(FirstApplicableStrategy(AggStrategySet{}, 4),
+            AggStrategy::kLocalCentral);
 }
 
 // --- Engine and experiment integration. ---

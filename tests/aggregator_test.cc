@@ -6,9 +6,11 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/engine.h"
 #include "data/dataset.h"
+#include "exec/executor.h"
 #include "test_util.h"
 
 namespace memagg {
@@ -132,6 +134,49 @@ TEST(AggregatorContractTest, IncrementalBuildAccumulates) {
   SortByKey(result);
   const VectorResult expected = {{1, 2.0}, {2, 3.0}, {3, 1.0}, {4, 1.0}};
   EXPECT_EQ(result, expected);
+}
+
+// Every registry row at every thread count it accepts: a second Build adds
+// its rows to the first batch's (the contract in core/operator.h).
+TEST(AggregatorContractTest, EveryLabelAccumulatesAcrossTwoBuilds) {
+  const DatasetSpec spec1{Distribution::kRseqShuffled, 50000, 4000, 32};
+  const DatasetSpec spec2{Distribution::kZipf, 70000, 6000, 33};
+  const auto keys1 = GenerateKeys(spec1);
+  const auto keys2 = GenerateKeys(spec2);
+  const auto values1 = GenerateValues(keys1.size(), 1000, 34);
+  const auto values2 = GenerateValues(keys2.size(), 1000, 35);
+  std::vector<uint64_t> keys = keys1;
+  keys.insert(keys.end(), keys2.begin(), keys2.end());
+  std::vector<uint64_t> values = values1;
+  values.insert(values.end(), values2.begin(), values2.end());
+
+  for (AggregateFunction fn :
+       {AggregateFunction::kCount, AggregateFunction::kSum,
+        AggregateFunction::kMedian}) {
+    const VectorResult expected = ReferenceVectorAggregate(keys, values, fn);
+    for (const LabelInfo& info : AllLabels()) {
+      for (const int threads : {1, 4}) {
+        if (threads > 1 && !info.parallel) continue;
+        auto aggregator = MakeVectorAggregator(info.name, fn, keys1.size(),
+                                               ExecutionContext{threads});
+        aggregator->Build(keys1.data(), values1.data(), keys1.size());
+        aggregator->Build(keys2.data(), values2.data(), keys2.size());
+        auto result = aggregator->Iterate();
+        SortByKey(result);
+        EXPECT_EQ(result, expected) << info.name << "@" << threads << " "
+                                    << AggregateFunctionName(fn);
+      }
+    }
+  }
+}
+
+TEST(AggregatorContractDeathTest, BuildOwnedRequiresAnEmptyOperator) {
+  const std::vector<uint64_t> keys = {3, 1, 2};
+  auto aggregator =
+      MakeVectorAggregator("Spreadsort", AggregateFunction::kCount, 16);
+  aggregator->Build(keys.data(), nullptr, keys.size());
+  EXPECT_DEATH(aggregator->BuildOwned(std::vector<uint64_t>(keys), {}),
+               "BuildOwned runs once, on an empty operator");
 }
 
 TEST(AggregatorContractTest, BuildOwnedMatchesBuild) {

@@ -152,6 +152,18 @@ TEST(TracedEngineTest, TracedOperatorsProduceCorrectResults) {
   EXPECT_GT(model.stats().accesses, keys.size());
 }
 
+TEST(TracedEngineDeathTest, OnlyTracedRowsCountingOrMedianConstruct) {
+  EXPECT_DEATH(MakeTracedVectorAggregator("Hash_PLocal",
+                                          AggregateFunction::kCount, 64),
+               "No traced operator");
+  EXPECT_DEATH(
+      MakeTracedVectorAggregator("Hash_LP", AggregateFunction::kSum, 64),
+      "No traced operator");
+  EXPECT_DEATH(
+      MakeTracedVectorAggregator("Hash_Nope", AggregateFunction::kCount, 64),
+      "Unknown algorithm label");
+}
+
 TEST(TracedEngineTest, UnboundTracerIsSafe) {
   // With no model bound, traced operators still run (hooks are no-ops).
   auto aggregator =

@@ -51,6 +51,12 @@ TEST(ContractDeathTest, UnknownAlgorithmLabelAborts) {
       "Unknown algorithm label");
 }
 
+TEST(ContractDeathTest, UnknownLabelCategoryAborts) {
+  EXPECT_DEATH(CategoryOfLabel("Hash_Nope"), "Unknown algorithm label");
+  EXPECT_DEATH(CategoryOfLabel("Hashish"), "Unknown algorithm label");
+  EXPECT_DEATH(CategoryOfLabel("Sort_Nope"), "Unknown algorithm label");
+}
+
 TEST(ContractDeathTest, SerialLabelRejectsMultipleThreads) {
   EXPECT_DEATH(
       MakeVectorAggregator("Hash_LP", AggregateFunction::kCount, 16,

@@ -11,8 +11,10 @@
 #include <string>
 #include <vector>
 
+#include "core/adaptive_aggregator.h"
 #include "core/engine.h"
 #include "data/dataset.h"
+#include "exec/executor.h"
 #include "test_util.h"
 
 namespace memagg {
@@ -128,18 +130,12 @@ struct LabelCase {
   int threads;
 };
 
+/// Every registry row at one thread, and the parallel rows at four.
 std::vector<LabelCase> AllEngineCases() {
   std::vector<LabelCase> cases;
-  for (const std::string& label : SerialLabels()) cases.push_back({label, 1});
-  for (const char* label :
-       {"Ttree", "Quicksort", "Sort_MSBRadix", "Sort_LSBRadix", "Hash_MPH",
-        "Hybrid"}) {
-    cases.push_back({label, 1});
-  }
-  for (const char* label :
-       {"Hash_TBBSC", "Hash_LC", "Sort_BI", "Sort_QSLB", "Sort_SS",
-        "Sort_TBB", "Hybrid", "Hash_PLocal", "Hash_Striped", "Hash_PRadix"}) {
-    cases.push_back({label, 4});
+  for (const LabelInfo& info : AllLabels()) {
+    cases.push_back({info.name, 1});
+    if (info.parallel) cases.push_back({info.name, 4});
   }
   return cases;
 }
@@ -186,7 +182,7 @@ TEST(QueryStatsEndToEndTest, EveryOperatorReportsPhasesAndCounters) {
     // Parallel hash operators drive the executor with the query's context,
     // so their morsel/worker accounting must surface. (Parallel sorts build
     // their executors inside the sort kernels, which take only a thread
-    // count; Hybrid's build loop is serial by design.)
+    // count.)
     if (c.threads > 1 && c.label.rfind("Hash", 0) == 0) {
       EXPECT_GT(stats.Get(StatCounter::kMorselsClaimed), 0u);
       EXPECT_GE(stats.Get(StatCounter::kWorkersUsed), 1u);
@@ -220,17 +216,31 @@ TEST(QueryStatsEndToEndTest, RehashCounterFiresWhenTableIsUndersized) {
   EXPECT_GT(execution.stats.Get(StatCounter::kRehashes), 0u);
 }
 
-TEST(QueryStatsEndToEndTest, HybridSpillCounterFiresPastThreshold) {
+TEST(QueryStatsEndToEndTest, HybridSwitchReportsTheSortPhase) {
   if (!StatsConfig::kEnabled) GTEST_SKIP() << "stats compiled out";
-  // 50000 distinct groups exceed the hybrid's 44000-group hash budget.
-  DatasetSpec spec{Distribution::kRseqShuffled, 100000, 50000, 134};
+  // The Hybrid set forced across its hash→sort switch (one worker, three
+  // morsels, rotation at the first barrier): the switch and the sort
+  // strategy's rows and kernel time must surface.
+  DatasetSpec spec{Distribution::kRseqShuffled, 30000, 15000, 134};
   const auto keys = GenerateKeys(spec);
-  const auto execution =
-      ExecuteVectorQuery("Hybrid", AggregateFunction::kCount, keys.data(),
-                         nullptr, keys.size(), keys.size());
-  EXPECT_EQ(execution.stats.Get(StatCounter::kHybridSpills), 1u);
-  EXPECT_GT(execution.stats.Get(StatCounter::kRowsSorted), 0u);
-  EXPECT_GT(execution.stats.PhaseCycles(StatPhase::kSort), 0u);
+  ExecutionContext exec{1};
+  exec.morsel_rows = 10000;
+  AdaptiveOptions options;
+  options.strategies = kHybridStrategies;
+  options.rotate = true;
+  options.sample_morsels = 1;
+  AdaptiveAggregator<CountAggregate> hybrid(keys.size(), exec, options);
+  hybrid.Build(keys.data(), nullptr, keys.size());
+  EXPECT_EQ(hybrid.Iterate().size(), CountDistinct(keys));
+  QueryStats stats;
+  hybrid.CollectStats(&stats);
+  EXPECT_EQ(stats.Get(StatCounter::kStrategySwitches), 1u);
+  // The sort strategy consumed the two morsels after the switch; the hashed
+  // first morsel arrived as partial states.
+  EXPECT_EQ(stats.Get(StatCounter::kRowsSorted), 20000u);
+  EXPECT_GT(stats.PhaseCycles(StatPhase::kSort), 0u);
+  EXPECT_EQ(stats.Get(StatCounter::kAdaptiveStrategy),
+            static_cast<uint64_t>(AggStrategy::kSort) + 1);
 }
 
 TEST(QueryStatsEndToEndTest, LocalPartitionReportsMergeAccounting) {

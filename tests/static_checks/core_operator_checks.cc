@@ -8,7 +8,6 @@
 #include "core/aggregate.h"
 #include "core/concepts.h"
 #include "core/hash_aggregator.h"
-#include "core/hybrid_aggregator.h"
 #include "core/local_partition_aggregator.h"
 #include "core/mph_aggregator.h"
 #include "core/parallel_aggregator.h"
@@ -29,7 +28,6 @@ static_assert(
 static_assert(
     AggregationOperator<SortVectorAggregator<IntrosortSorter, SumAggregate>>);
 static_assert(AggregationOperator<MphVectorAggregator<SumAggregate>>);
-static_assert(AggregationOperator<HybridVectorAggregator<SumAggregate>>);
 static_assert(AggregationOperator<LocalPartitionAggregator<SumAggregate>>);
 static_assert(AggregationOperator<RadixPartitionAggregator<MedianAggregate>>);
 static_assert(
@@ -66,7 +64,6 @@ static_assert(MigratableOperator<RadixPartitionAggregator<MedianAggregate>>);
 static_assert(
     !MigratableOperator<TbbStyleParallelAggregator<ConcurrentSumAggregate>>);
 static_assert(!MigratableOperator<AdaptiveAggregator<SumAggregate>>);
-static_assert(!MigratableOperator<HybridVectorAggregator<SumAggregate>>);
 
 // The adaptive operator is itself a first-class engine operator.
 static_assert(AggregationOperator<AdaptiveAggregator<SumAggregate>>);

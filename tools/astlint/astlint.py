@@ -9,10 +9,14 @@ Seven rules run over a per-file model extracted by one of two frontends:
                                 where the enum sanctions a protocol)
   blocking-in-morsel-body       no parking lock, Wait(), allocating `new`,
                                 or I/O inside a `const Morsel&` lambda
-  stats-in-morsel-body          no per-morsel stats recording (AST-grounded
-                                twin of the lint_invariants.py regex rule)
-  fixed-aggregator-construction aggregator choice flows through
-                                MakeVectorAggregator / AdaptiveAggregator
+  stats-in-morsel-body          no per-morsel stats recording
+                                (StatCounter::, PhaseTimer, AddPhase,
+                                WorkerShard) inside a `const Morsel&` lambda
+  fixed-aggregator-construction src/, bench/, and examples/ construct no
+                                fixed aggregator (heap or stack): operator
+                                choice flows through MakeVectorAggregator /
+                                AdaptiveAggregator; the label registry and
+                                the family headers are exempt
   arena-escape                  Tier 6: no pointer allocated from a
                                 function-local Arena/WorkerArenas may
                                 outlive the arena (return, member store,
@@ -90,7 +94,7 @@ FIXTURES = (
     ("stats_in_morsel.cc", "src/exec/stats_fixture.cc",
      model.RULE_STATS, 1),
     ("fixed_aggregator.cc", "src/exec/fixed_agg_fixture.cc",
-     model.RULE_FIXED_AGG, 1),
+     model.RULE_FIXED_AGG, 2),
     ("clean_ok.cc", "src/exec/clean_fixture.cc", None, 0),
     ("arena_escape.cc", "src/exec/arena_escape_fixture.cc",
      model.RULE_ARENA_ESCAPE, 5),

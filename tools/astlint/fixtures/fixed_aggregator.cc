@@ -3,7 +3,9 @@
 // call site; the engine routes it through MakeVectorAggregator or
 // AdaptiveAggregator so strategy selection stays in one place.
 //
-// Expected: exactly one fixed-aggregator-construction violation.
+// Expected: exactly two fixed-aggregator-construction violations — the heap
+// construction and the stack-constructed object. Naming an aggregator type
+// in a pointer parameter or a static_cast constructs nothing and is clean.
 
 namespace std {
 template <typename T>
@@ -25,4 +27,29 @@ struct CountAggregate {
 
 auto MakeHardcodedOperator() {
   return std::make_unique<SortedAggregator<CountAggregate>>();  // planted
+}
+
+struct ExecutionContext {
+  int num_threads = 1;
+};
+
+template <typename Agg>
+struct LocalPartitionAggregator {
+  LocalPartitionAggregator(unsigned long expected_size, ExecutionContext exec);
+  void Build(const unsigned long* keys, unsigned long n);
+};
+
+struct VectorAggregator {};
+
+void UseOperator(LocalPartitionAggregator<CountAggregate>* op);  // clean
+
+void BuildOnTheStack(ExecutionContext exec) {
+  LocalPartitionAggregator<CountAggregate> agg(64, exec);  // planted
+  agg.Build(nullptr, 0);
+}
+
+void Downcast(VectorAggregator* base) {
+  auto* op = static_cast<LocalPartitionAggregator<CountAggregate>*>(
+      static_cast<void*>(base));  // clean
+  UseOperator(op);
 }

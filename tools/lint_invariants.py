@@ -13,12 +13,6 @@ the repo-specific discipline that neither can express:
   libc-rand            rand()/srand()/std::rand are banned everywhere: they
                        share hidden global state across threads and wreck
                        benchmark reproducibility. Use util/rng.h (Rng).
-  stats-in-morsel-body stats recording (StatCounter::, PhaseTimer, AddPhase,
-                       WorkerShard) must not appear inside a per-morsel
-                       lambda (`[..](const Morsel& ..) {..}`): counters are
-                       flushed once per worker per loop, never per row or
-                       per morsel, so MEMAGG_STATS=ON stays cost-free on the
-                       hot path.
   unguarded-global     a mutable namespace-scope global (g_ prefix, or an
                        extern declaration of one) must be std::atomic,
                        const, or carry a GUARDED_BY annotation — otherwise
@@ -32,18 +26,6 @@ the repo-specific discipline that neither can express:
                        ::operator new/delete — otherwise the arena ablation
                        silently measures the wrong allocator. Placement new
                        and `= delete`d members are fine.
-  fixed-aggregator-construction
-                       library/bench/example code may not construct a fixed
-                       aggregator template (HashAggregator<...>,
-                       LocalPartitionAggregator<...>, ...) directly: operator
-                       choice flows through the engine factory
-                       (MakeVectorAggregator) or the adaptive operator
-                       (AdaptiveAggregator), so strategy selection stays in
-                       one place. The factory (core/engine.cc,
-                       sim/traced_engine.cc) and the family headers
-                       themselves (src/core/*_aggregator.h, which compose
-                       sub-operators) are exempt; tests construct families
-                       directly to unit-test them.
   raw-simd-intrinsic   x86 vector intrinsics (_mm*_*, __m128/__m256/__m512)
                        may only appear under src/util/simd* — every other
                        file goes through the SimdOps lanes so the scalar/
@@ -77,6 +59,9 @@ the repo-specific discipline that neither can express:
                        the inner `<typename>` of a template-template
                        parameter are exempt.
 
+The morsel-body stats rule (stats-in-morsel-body) and the operator-choice
+rule (fixed-aggregator-construction) live in tools/astlint/ only.
+
 Waivers: append `// lint:allow(rule-name): reason` to the offending line or
 the line directly above it. The reason is mandatory by convention — a waiver
 is a documented decision, not an off switch.
@@ -96,7 +81,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 # Directories scanned per rule. Tests deliberately spawn raw std::thread to
 # hammer the concurrent structures from outside the execution layer, so the
-# thread and morsel rules stop at library + bench + example code.
+# thread rule stops at library + bench + example code.
 LIBRARY_DIRS = ("src", "bench", "examples")
 ALL_DIRS = ("src", "bench", "examples", "tests")
 
@@ -160,19 +145,6 @@ def line_of(text, offset):
     return text.count("\n", 0, offset) + 1
 
 
-def match_brace_span(text, open_brace):
-    """Returns the offset one past the brace matching text[open_brace]."""
-    depth = 0
-    for i in range(open_brace, len(text)):
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return len(text)
-
-
 # --- Rules -------------------------------------------------------------------
 
 RAW_THREAD_RE = re.compile(r"(?<![\w:])std::thread\b(?!\s*::)")
@@ -201,29 +173,6 @@ def check_libc_rand(relpath, stripped):
             "libc-rand",
             "rand()/srand() share hidden global state — use util/rng.h",
         )
-
-
-MORSEL_LAMBDA_RE = re.compile(r"\(\s*const\s+Morsel\s*&")
-STATS_CALL_RE = re.compile(
-    r"StatCounter::|PhaseTimer\b|\bAddPhase\s*\(|\bWorkerShard\s*\("
-)
-
-
-def check_stats_in_morsel_body(relpath, stripped):
-    del relpath
-    for match in MORSEL_LAMBDA_RE.finditer(stripped):
-        open_brace = stripped.find("{", match.end())
-        if open_brace == -1:
-            continue
-        body_end = match_brace_span(stripped, open_brace)
-        for call in STATS_CALL_RE.finditer(stripped, open_brace, body_end):
-            yield (
-                line_of(stripped, call.start()),
-                "stats-in-morsel-body",
-                "stats recording inside a per-morsel lambda — accumulate "
-                "locally and flush once per worker (see Executor::"
-                "RecordWorkerClaims)",
-            )
 
 
 GLOBAL_DECL_RE = re.compile(
@@ -279,39 +228,6 @@ def check_raw_node_alloc(relpath, stripped):
         yield (line_of(stripped, match.start()), "raw-node-alloc", message)
     for match in RAW_OPERATOR_ALLOC_RE.finditer(stripped):
         yield (line_of(stripped, match.start()), "raw-node-alloc", message)
-
-
-# Construction of a concrete aggregator template: heap (make_unique / new)
-# or a stack/member object with arguments. `AdaptiveAggregator` is the
-# sanctioned entry point, so it is excluded by name.
-FIXED_AGG_CONSTRUCT_RE = re.compile(
-    r"(?:std::make_unique\s*<\s*|new\s+)([A-Z]\w*Aggregator)\s*<"
-    r"|\b([A-Z]\w*Aggregator)\s*<[\w:<>,\s]*>\s+\w+\s*[({]"
-)
-FIXED_AGG_EXEMPT_FILES = (
-    "src/core/engine.cc",       # the MakeVectorAggregator factory
-    "src/core/migratable.h",    # the migratable-state protocol itself
-    "src/sim/traced_engine.cc", # traced mirror of the factory
-)
-
-
-def check_fixed_aggregator_construction(relpath, stripped):
-    posix = relpath.as_posix()
-    if posix in FIXED_AGG_EXEMPT_FILES:
-        return
-    if posix.startswith("src/core/") and posix.endswith("_aggregator.h"):
-        return  # Family headers compose their own sub-operators.
-    for match in FIXED_AGG_CONSTRUCT_RE.finditer(stripped):
-        name = match.group(1) or match.group(2)
-        if name == "AdaptiveAggregator":
-            continue
-        yield (
-            line_of(stripped, match.start()),
-            "fixed-aggregator-construction",
-            f"direct construction of {name} — route operator choice "
-            "through MakeVectorAggregator (core/engine.h) or "
-            "AdaptiveAggregator so strategy selection stays in one place",
-        )
 
 
 REF_CAPTURE_TASK_RE = re.compile(
@@ -460,7 +376,6 @@ def check_include_guard(relpath, stripped):
 RULES = (
     (LIBRARY_DIRS, check_raw_thread),
     (ALL_DIRS, check_libc_rand),
-    (LIBRARY_DIRS, check_stats_in_morsel_body),
     (LIBRARY_DIRS, check_unguarded_global),
     (LIBRARY_DIRS, check_include_guard),
     (LIBRARY_DIRS, check_raw_node_alloc),
@@ -468,7 +383,6 @@ RULES = (
     (ALL_DIRS, check_raw_simd_intrinsic),
     (LIBRARY_DIRS, check_raw_key_type),
     (LIBRARY_DIRS, check_unconstrained_typename),
-    (LIBRARY_DIRS, check_fixed_aggregator_construction),
 )
 
 
@@ -554,14 +468,6 @@ FIXTURES = [
         "int f(Rng& rng) { return rng.Next(); }  // NextBounded(rand_max)\n",
     ),
     (
-        "stats-in-morsel-body",
-        "src/core/widget.h",
-        "void f() { exec.ParallelFor(n, [&](const Morsel& m) {\n"
-        "  stats->Add(StatCounter::kRows, m.end - m.begin); }); }\n",
-        "void f() { exec.ParallelFor(n, [&](const Morsel& m) { use(m); });\n"
-        "  stats->Add(StatCounter::kRows, n); }\n",
-    ),
-    (
         "unguarded-global",
         "src/core/widget.cc",
         "Widget* g_widget = nullptr;\n",
@@ -617,41 +523,6 @@ FIXTURES = [
         "#ifndef WIDGET_H\n#define WIDGET_H\n#endif\n",
         "#ifndef MEMAGG_CORE_WIDGET_H_\n#define MEMAGG_CORE_WIDGET_H_\n"
         "#endif  // MEMAGG_CORE_WIDGET_H_\n",
-    ),
-    (
-        "fixed-aggregator-construction",
-        "bench/micro.cc",
-        "void f() { auto a =\n"
-        "  std::make_unique<HashAggregator<CountAggregate>>(64); use(a); }\n",
-        "void f() { auto a = MakeVectorAggregator(\"Hash_LP\",\n"
-        "    AggregateFunction::kCount, 64, exec);\n"
-        "  auto b = std::make_unique<AdaptiveAggregator<CountAggregate>>(\n"
-        "    64, exec, options);\n"
-        "  std::unique_ptr<VectorAggregator> held = std::move(a); }\n",
-    ),
-    (
-        "fixed-aggregator-construction",
-        "bench/micro.cc",
-        "void f() { LocalPartitionAggregator<CountAggregate> agg(64, exec);\n"
-        "  agg.Build(nullptr, nullptr, 0); }\n",
-        "void g(LocalPartitionAggregator<CountAggregate>* op);\n"
-        "void f(VectorAggregator* base) {\n"
-        "  auto* h = static_cast<HybridVectorAggregator<CountAggregate>*>(\n"
-        "      base); use(h); }\n",
-    ),
-    (
-        "fixed-aggregator-construction",
-        "src/core/engine.cc",  # the factory is where construction lives
-        "",
-        "std::unique_ptr<VectorAggregator> Make() {\n"
-        "  return std::make_unique<RadixPartitionAggregator<CountAggregate>>(\n"
-        "      64, exec); }\n",
-    ),
-    (
-        "fixed-aggregator-construction",
-        "src/core/hybrid_aggregator.h",  # family headers compose internally
-        "",
-        "void f() { hash_ = std::make_unique<HashAggregator<Agg>>(64); }\n",
     ),
     (
         "raw-key-type",

@@ -12,10 +12,12 @@
 //                          adaptive run must stay within the threshold of
 //                          the best pinned strategy at every sweep point.
 //   "<dist>+native/<label>" — the engine's native fixed operators, for
-//                          context only. Their Build paths see all rows up
-//                          front (e.g. two-pass radix), which no online
-//                          operator can reproduce; the gate skips these
-//                          groups because they contain no Adaptive row.
+//                          context only; the gate skips these groups
+//                          because they contain no Adaptive row. They run
+//                          the same consume code as the pinned strategies,
+//                          so the two series differ only in table sizing:
+//                          the engine sizes from the row count, the
+//                          adaptive operator from the key sample.
 //
 // Paper scale: 100M records on 4C/8T. Container default: 2M records.
 
@@ -98,8 +100,8 @@ int Run(int argc, char** argv) {
     distribution_names.push_back(name);
   }
   // Native context series: the engine operators closest to the adaptive
-  // inventory (worker-local/central merge, two-pass radix, the striped
-  // shared map, the parallel sort).
+  // inventory (worker-local/central merge, radix, the striped shared map,
+  // the parallel sort).
   const std::vector<std::string> default_labels =
       threads > 1
           ? std::vector<std::string>{"Hash_PLocal", "Hash_PRadix",

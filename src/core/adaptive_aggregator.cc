@@ -8,7 +8,7 @@ namespace memagg {
 namespace {
 
 // Cost-model constants, in cycles. These are coarse calibrations against
-// bench_figure12 on the reference machine — the model only has to rank
+// bench_adaptive on the reference machine — the model only has to rank
 // strategies correctly near the decision boundaries, not predict absolute
 // runtimes (see docs/adaptive.md for the calibration sweep).
 constexpr double kProbeBase = 3.0;        // Cache-resident probe + update.

@@ -168,8 +168,8 @@ AggStrategy NextApplicableStrategy(AggStrategy current, int workers,
                                    AggStrategySet allowed);
 
 /// The adaptive operator. Registered in the engine as "Adaptive" (every
-/// strategy) and "Hybrid" (kHybridStrategies), and used by the experiment
-/// driver's "auto" label for vector queries.
+/// strategy) and "Hybrid" (kHybridStrategies); "auto" is the Figure 12
+/// advisor's pick, never this operator.
 template <MergeableAggregatePolicy Aggregate>
 class AdaptiveAggregator final : public VectorAggregator {
  public:
@@ -182,9 +182,11 @@ class AdaptiveAggregator final : public VectorAggregator {
   static constexpr bool kHolistic =
       requires(uint64_t* v, size_t c) { Aggregate::FinalizeRun(v, c); };
 
-  AdaptiveAggregator(size_t expected_size, ExecutionContext exec,
+  /// Tables are sized from the key sample inside Build, not from
+  /// `expected_size`.
+  AdaptiveAggregator(size_t /*expected_size*/, ExecutionContext exec,
                      AdaptiveOptions options = {})
-      : exec_(exec), opt_(options), expected_size_(expected_size) {
+      : VectorAggregator(exec), opt_(options) {
     if (opt_.l3_bytes == 0) opt_.l3_bytes = DetectedL3CacheBytes();
     // Calibration aid (docs/adaptive.md): log every barrier decision.
     debug_ = std::getenv("MEMAGG_ADAPTIVE_DEBUG") != nullptr;
@@ -194,19 +196,25 @@ class AdaptiveAggregator final : public VectorAggregator {
     reserve_hint_ = expected_groups;
   }
 
-  /// The first call samples the keys, starts the first strategy, and
-  /// decides at every chunk barrier. A later call continues in the current
-  /// strategy and consumes its whole batch in one chunk.
+  /// The second driver of the consume protocol (core/operator.h). The
+  /// first call samples the keys, starts the first strategy, and decides at
+  /// every chunk barrier. A later call continues in the current strategy
+  /// and consumes its whole batch in one chunk. Either ends with the
+  /// strategy's EndBatch.
   void Build(const uint64_t* keys, const uint64_t* values, size_t n) override {
-    Executor executor(exec_);
+    Executor executor(exec());
     const int workers = executor.num_workers();
-    if (mig_ != nullptr) {
-      if (n == 0) return;
-      const size_t grain = executor.MorselRows(n);
+    const size_t grain = executor.MorselRows(n);
+    const size_t num_morsels = NumMorselsFor(n, grain);
+    const auto consume = [&](size_t first_morsel, size_t last_morsel) {
       executor.ParallelForMorsels(
-          n, 0, NumMorselsFor(n, grain),
-          [&](const Morsel& m) { mig_->ConsumeMorsel(keys, values, m); },
+          n, first_morsel, last_morsel,
+          [&](const Morsel& m) { op_->ConsumeMorsel(keys, values, m); },
           grain);
+    };
+    if (op_ != nullptr) {
+      consume(0, num_morsels);
+      op_->EndBatch();
       return;
     }
 
@@ -225,10 +233,6 @@ class AdaptiveAggregator final : public VectorAggregator {
         static_cast<double>(std::max<size_t>(1, estimated));
     StartStrategy(first, GroupCapacityFor(first, est_groups, n == 0 ? 1 : n),
                   n == 0 ? 1 : n);
-    if (n == 0) return;
-
-    const size_t grain = executor.MorselRows(n);
-    const size_t num_morsels = NumMorselsFor(n, grain);
 
     size_t next_morsel = 0;
     // Geometric mode starts with at least one morsel per worker, so the
@@ -239,10 +243,7 @@ class AdaptiveAggregator final : public VectorAggregator {
                : std::max(opt_.sample_morsels, static_cast<size_t>(workers)));
     while (next_morsel < num_morsels) {
       const size_t until = std::min(num_morsels, next_morsel + chunk);
-      executor.ParallelForMorsels(
-          n, next_morsel, until,
-          [&](const Morsel& m) { mig_->ConsumeMorsel(keys, values, m); },
-          grain);
+      consume(next_morsel, until);
       next_morsel = until;
       if (next_morsel >= num_morsels) break;
       if (opt_.strategies.Single()) {
@@ -252,11 +253,18 @@ class AdaptiveAggregator final : public VectorAggregator {
       DecideAtBarrier(n, est_groups, sample, workers);
       if (opt_.chunk_morsels == 0) chunk *= 2;
     }
+    op_->EndBatch();
+  }
+
+  /// Morsels go to the strategy Build started.
+  void ConsumeMorsel(const uint64_t* keys, const uint64_t* values,
+                     const Morsel& m) override {
+    op_->ConsumeMorsel(keys, values, m);
   }
 
   VectorResult Iterate() override {
-    if (mig_ == nullptr) Build(nullptr, nullptr, 0);  // Starts a strategy.
-    return mig_->Finish();
+    if (op_ == nullptr) Build(nullptr, nullptr, 0);  // Starts a strategy.
+    return op_->Iterate();
   }
 
   size_t NumGroups() const override {
@@ -290,16 +298,18 @@ class AdaptiveAggregator final : public VectorAggregator {
  private:
   /// Table capacity for a strategy's constructor: twice the group estimate
   /// (headroom for the GEE error band — the maps rehash-grow past it), never
-  /// more than the rows it could possibly hold. The worker-local designs
-  /// split the capacity across workers but every worker can meet every group
-  /// on shuffled data, so their budget scales back up by the worker count.
+  /// more than the rows it could possibly hold. The per-worker designs
+  /// (local tables, radix's worker copies of each partition) split the
+  /// capacity across workers but every worker can meet every group on
+  /// shuffled data, so their budget scales back up by the worker count.
   size_t GroupCapacityFor(AggStrategy strategy, double est_groups,
                           size_t max_rows) const {
     if (strategy == AggStrategy::kSort) return max_rows;  // Buffers rows.
     double capacity = std::max(64.0, 2.0 * est_groups);
     if (strategy == AggStrategy::kLocalCentral ||
-        strategy == AggStrategy::kLocalTree) {
-      capacity *= Executor(exec_).num_workers();
+        strategy == AggStrategy::kLocalTree ||
+        strategy == AggStrategy::kRadix) {
+      capacity *= Executor(exec()).num_workers();
     }
     return static_cast<size_t>(
         std::min(static_cast<double>(max_rows), capacity));
@@ -307,51 +317,37 @@ class AdaptiveAggregator final : public VectorAggregator {
 
   void StartStrategy(AggStrategy strategy, size_t expected_groups,
                      size_t expected_rows) {
-    const int workers = Executor(exec_).num_workers();
+    const int workers = Executor(exec()).num_workers();
     switch (strategy) {
-      case AggStrategy::kSerialHash: {
+      case AggStrategy::kSerialHash:
         MEMAGG_CHECK(workers == 1);
-        auto op = std::make_unique<
+        op_ = std::make_unique<
             HashVectorAggregator<LinearProbingMap, Aggregate>>(expected_groups);
-        mig_ = op.get();
-        op_ = std::move(op);
         break;
-      }
       case AggStrategy::kLocalCentral:
-      case AggStrategy::kLocalTree: {
-        auto op = std::make_unique<LocalPartitionAggregator<Aggregate>>(
-            expected_groups, exec_,
+      case AggStrategy::kLocalTree:
+        op_ = std::make_unique<LocalPartitionAggregator<Aggregate>>(
+            expected_groups, exec(),
             strategy == AggStrategy::kLocalTree ? LocalMergeMode::kTree
                                                 : LocalMergeMode::kCentral);
-        mig_ = op.get();
-        op_ = std::move(op);
         break;
-      }
-      case AggStrategy::kRadix: {
-        auto op = std::make_unique<RadixPartitionAggregator<Aggregate>>(
-            expected_groups, exec_);
-        mig_ = op.get();
-        op_ = std::move(op);
+      case AggStrategy::kRadix:
+        op_ = std::make_unique<RadixPartitionAggregator<Aggregate>>(
+            expected_groups, exec());
         break;
-      }
-      case AggStrategy::kSharedMap: {
-        auto op = std::make_unique<StripedParallelAggregator<Aggregate>>(
-            expected_groups, exec_);
-        mig_ = op.get();
-        op_ = std::move(op);
+      case AggStrategy::kSharedMap:
+        op_ = std::make_unique<StripedParallelAggregator<Aggregate>>(
+            expected_groups, exec());
         break;
-      }
       case AggStrategy::kSort: {
         BlockIndirectSorter sorter;
-        sorter.num_threads = exec_.num_threads;
-        auto op = std::make_unique<
+        sorter.num_threads = exec().num_threads;
+        op_ = std::make_unique<
             SortVectorAggregator<BlockIndirectSorter, Aggregate>>(sorter);
-        mig_ = op.get();
-        op_ = std::move(op);
         break;
       }
     }
-    mig_->BeginConsume(workers, expected_rows);
+    op_->BeginConsume(workers, expected_rows);
     current_ = strategy;
     if (trace_.empty()) {
       trace_ = std::string(AggStrategyName(strategy)) + "@0";
@@ -360,7 +356,7 @@ class AdaptiveAggregator final : public VectorAggregator {
 
   void DecideAtBarrier(size_t n, double est_groups_full,
                        const KeySampleStats& sample, int workers) {
-    const ProgressSnapshot progress = mig_->Progress();
+    const ProgressSnapshot progress = op_->Progress();
     const double rows_seen = static_cast<double>(progress.rows);
     const double rows_remaining =
         static_cast<double>(n) - std::min(static_cast<double>(n), rows_seen);
@@ -450,17 +446,16 @@ class AdaptiveAggregator final : public VectorAggregator {
       trace_ += "@0";
       return;
     }
-    Partial partial = mig_->ExtractPartialState();
+    Partial partial = op_->ExtractPartialState();
     const uint64_t moved = partial.rows;
     // Destroy the drained strategy before building its successor so peak
     // memory holds one structure plus the (compact) partial state.
-    mig_ = nullptr;
     op_.reset();
     const size_t max_rows = static_cast<size_t>(rows_remaining) +
                             std::max<uint64_t>(moved, progress.groups);
     StartStrategy(next, GroupCapacityFor(next, est_groups, max_rows),
                   max_rows);
-    mig_->AbsorbPartialState(std::move(partial));
+    op_->AbsorbPartialState(std::move(partial));
     stats_.Add(StatCounter::kStrategySwitches, 1);
     stats_.Add(StatCounter::kRowsMigrated, moved);
     trace_ += "->";
@@ -469,12 +464,9 @@ class AdaptiveAggregator final : public VectorAggregator {
     trace_ += std::to_string(moved);
   }
 
-  ExecutionContext exec_;
   AdaptiveOptions opt_;
-  size_t expected_size_;
   size_t reserve_hint_ = 0;
-  std::unique_ptr<VectorAggregator> op_;           ///< Owning handle.
-  MigratableAggregator<Aggregate>* mig_ = nullptr; ///< Same object, migratable view.
+  std::unique_ptr<MigratableAggregator<Aggregate>> op_;  ///< Current strategy.
   AggStrategy current_ = AggStrategy::kSerialHash;
   bool debug_ = false;        ///< MEMAGG_ADAPTIVE_DEBUG decision logging.
   std::string trace_;

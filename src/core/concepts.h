@@ -27,8 +27,6 @@
 //   memory-access tracing        MemoryTracer            util/tracer.h
 //   aggregation operator         AggregationOperator /   all operator
 //                                  ScalarOperator        families
-//   adaptive-switchable strategy MigratableOperator      the five vector
-//                                                        families + striped
 //   columnar input table         ColumnarTable           Table (data/table.h)
 //   composite key codec          TableKeyCodec           PackedKeyCodec,
 //                                                        DictKeyCodec
@@ -58,7 +56,6 @@
 #include "core/operator.h"
 #include "data/key_codec.h"
 #include "data/table.h"
-#include "exec/morsel.h"
 #include "mem/allocator.h"
 #include "sort/sort_common.h"
 #include "util/encoded_key.h"
@@ -252,27 +249,6 @@ concept AggregationOperator =
 template <typename Op>
 concept ScalarOperator =
     std::derived_from<Op, ScalarAggregator> && !std::is_abstract_v<Op>;
-
-/// Strategy usable by the adaptive operator (core/adaptive_aggregator.h):
-/// consumes individual morsels, reports cheap progress, and can move its
-/// partially built group state to another strategy mid-query. Structural
-/// twin of the MigratableAggregator interface (core/migratable.h) — spelled
-/// as a requires-expression so the compile-fail harness can name the exact
-/// missing operation, and so non-virtual implementations also qualify.
-template <typename Op>
-concept MigratableOperator =
-    AggregationOperator<Op> &&
-    requires(Op op, const Op& cop, const uint64_t* keys, const Morsel& m,
-             typename Op::Partial partial, int num_workers,
-             size_t expected_rows) {
-      typename Op::Partial;
-      op.BeginConsume(num_workers, expected_rows);
-      op.ConsumeMorsel(keys, keys, m);
-      { cop.Progress() } -> std::same_as<ProgressSnapshot>;
-      { op.ExtractPartialState() } -> std::same_as<typename Op::Partial>;
-      op.AbsorbPartialState(std::move(partial));
-      { op.Finish() } -> std::same_as<VectorResult>;
-    };
 
 }  // namespace memagg
 

@@ -34,8 +34,8 @@ struct LabelInfo {
   bool traced;         ///< Has a cache-traced twin (sim/traced_engine.h).
 };
 
-/// The adaptive operator's label, which the experiment driver's "auto"
-/// runs for vector group-bys (core/experiment.h).
+/// The adaptive operator's label (docs/adaptive.md). "auto" never resolves
+/// to it: every front-end maps "auto" to the Figure 12 advisor's pick.
 inline constexpr char kAdaptiveLabel[] = "Adaptive";
 
 /// Every registered label, in registry order.

@@ -19,21 +19,11 @@ PhaseTiming Time(CycleTimer& timer) {
 
 ExperimentResult RunExperiment(const ExperimentConfig& config) {
   ExperimentResult result;
-  if (config.algorithm == "auto") {
-    // Vector group-bys without a range condition resolve to the runtime
-    // adaptive operator, which picks (and re-picks) its strategy from
-    // observed data instead of the static workload profile. Range queries
-    // need ordered iteration and scalar queries their own operator family,
-    // so those keep the Figure 12 advisor's static recommendation.
-    result.algorithm = config.query.output == OutputFormat::kVector &&
-                               !config.query.has_range_condition
-                           ? kAdaptiveLabel
-                           : RecommendAlgorithm(ProfileForQuery(
-                                 config.query, /*worm=*/false,
-                                 /*prebuilt_index=*/false, config.num_threads));
-  } else {
-    result.algorithm = config.algorithm;
-  }
+  result.algorithm = config.algorithm == "auto"
+                         ? RecommendAlgorithm(ProfileForQuery(
+                               config.query, /*worm=*/false,
+                               /*prebuilt_index=*/false, config.num_threads))
+                         : config.algorithm;
 
   // Phase 0: dataset generation (the paper preloads data and excludes this
   // from query time; we report it separately).

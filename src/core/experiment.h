@@ -25,9 +25,9 @@ struct ExperimentConfig {
   Query query = MakeQ1();
   DatasetSpec dataset{Distribution::kRseq, 1000000, 1000,
                       0x5eed5eed5eed5eedULL};
-  /// Algorithm label, or "auto": vector group-bys without a range condition
-  /// run the runtime-adaptive operator ("Adaptive", docs/adaptive.md);
-  /// range and scalar queries take the Figure 12 advisor's static pick.
+  /// Algorithm label, or "auto" for the Figure 12 advisor's pick
+  /// (core/advisor.h), as everywhere else. The runtime-adaptive operator
+  /// runs only when named ("Adaptive", docs/adaptive.md).
   std::string algorithm = "auto";
   int num_threads = 1;
   /// Value column parameters (used when the query aggregates values).

@@ -19,7 +19,6 @@
 #include "core/result.h"
 #include "obs/query_stats.h"
 #include "util/encoded_key.h"
-#include "util/macros.h"
 
 namespace memagg {
 
@@ -27,11 +26,11 @@ namespace memagg {
 /// (LinearProbingMap, ChainingMap, SparseMap, DenseMap, CuckooMap,
 /// ConcurrentChainingMap); `Aggregate` is an aggregate policy from
 /// core/aggregate.h. The map instantiated at the aggregate's State type
-/// must model GroupMap (core/concepts.h).
-template <template <typename> class MapT, AggregatePolicy Aggregate>
+/// must model GroupMap (core/concepts.h). A serial operator: it consumes on
+/// one worker, so ConsumeMorsel never runs concurrently with itself.
+template <template <typename> class MapT, MergeableAggregatePolicy Aggregate>
   requires GroupMap<MapT<typename Aggregate::State>, typename Aggregate::State>
-class HashVectorAggregator final : public VectorAggregator,
-                                   public MigratableAggregator<Aggregate> {
+class HashVectorAggregator final : public MigratableAggregator<Aggregate> {
  public:
   using State = typename Aggregate::State;
   using Partial = PartialAggState<Aggregate>;
@@ -46,17 +45,18 @@ class HashVectorAggregator final : public VectorAggregator,
     map_.Reserve(expected_groups);
   }
 
-  void Build(const uint64_t* keys, const uint64_t* values,
-             size_t n) override {
+  void ConsumeMorsel(const uint64_t* keys, const uint64_t* values,
+                     const Morsel& m) override {
     if constexpr (Aggregate::kNeedsValues) {
-      for (size_t i = 0; i < n; ++i) {
+      for (size_t i = m.begin; i < m.end; ++i) {
         Aggregate::Update(map_.GetOrInsert(keys[i]), values[i]);
       }
     } else {
-      for (size_t i = 0; i < n; ++i) {
+      for (size_t i = m.begin; i < m.end; ++i) {
         Aggregate::Update(map_.GetOrInsert(keys[i]), 0);
       }
     }
+    rows_consumed_ += m.end - m.begin;
   }
 
   VectorResult Iterate() override {
@@ -71,15 +71,6 @@ class HashVectorAggregator final : public VectorAggregator,
   }
 
   // --- MigratableAggregator (core/migratable.h) -----------------------------
-  // Single-worker strategy: the adaptive operator only dispatches to it with
-  // one worker, so ConsumeMorsel never runs concurrently with itself.
-
-  void ConsumeMorsel(const uint64_t* keys, const uint64_t* values,
-                     const Morsel& m) override {
-    Build(keys + m.begin, values == nullptr ? nullptr : values + m.begin,
-          m.end - m.begin);
-    rows_consumed_ += m.end - m.begin;
-  }
 
   ProgressSnapshot Progress() const override {
     return {rows_consumed_, map_.size(), map_.MemoryBytes()};
@@ -98,19 +89,13 @@ class HashVectorAggregator final : public VectorAggregator,
 
   void AbsorbPartialState(Partial&& partial) override {
     for (auto& [key, state] : partial.partials) {
-      if constexpr (MergeableAggregatePolicy<Aggregate>) {
-        Aggregate::Merge(map_.GetOrInsert(key), state);
-      } else {
-        MEMAGG_CHECK(false && "aggregate has no Merge; cannot absorb partials");
-      }
+      Aggregate::Merge(map_.GetOrInsert(key), state);
     }
     for (const auto& [key, value] : partial.records) {
       Aggregate::Update(map_.GetOrInsert(key), value);
     }
     rows_consumed_ += partial.rows;
   }
-
-  VectorResult Finish() override { return Iterate(); }
 
   size_t NumGroups() const override { return map_.size(); }
 
@@ -145,7 +130,7 @@ class HashVectorAggregator final : public VectorAggregator,
 
  private:
   MapT<State> map_;
-  uint64_t rows_consumed_ = 0;  ///< Morsel-path rows (Progress reporting).
+  uint64_t rows_consumed_ = 0;  ///< Rows consumed (Progress reporting).
 };
 
 }  // namespace memagg

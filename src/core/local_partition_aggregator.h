@@ -46,18 +46,17 @@ enum class LocalMergeMode { kCentral, kTree };
 /// Independent worker-local tables, merged at iterate time — which is why
 /// the aggregate must be mergeable.
 template <MergeableAggregatePolicy Aggregate>
-class LocalPartitionAggregator final : public VectorAggregator,
-                                       public MigratableAggregator<Aggregate> {
+class LocalPartitionAggregator final : public MigratableAggregator<Aggregate> {
  public:
   using State = typename Aggregate::State;
   using Partial = PartialAggState<Aggregate>;
 
   LocalPartitionAggregator(size_t expected_size, ExecutionContext exec,
                            LocalMergeMode merge_mode = LocalMergeMode::kCentral)
-      : exec_(exec),
+      : MigratableAggregator<Aggregate>(exec),
         merge_mode_(merge_mode),
-        rows_consumed_(Executor(exec_).num_workers()) {
-    const int num_workers = Executor(exec_).num_workers();
+        rows_consumed_(Executor(exec).num_workers()) {
+    const int num_workers = Executor(exec).num_workers();
     locals_.reserve(static_cast<size_t>(num_workers));
     for (int t = 0; t < num_workers; ++t) {
       locals_.push_back(std::make_unique<LinearProbingMap<State>>(
@@ -70,13 +69,21 @@ class LocalPartitionAggregator final : public VectorAggregator,
   /// the central-merge and tree-merge strategies migrates no state.
   void set_merge_mode(LocalMergeMode merge_mode) { merge_mode_ = merge_mode; }
 
-  void Build(const uint64_t* keys, const uint64_t* values,
-             size_t n) override {
-    // Each worker owns locals_[worker]; a worker folds every morsel it
-    // claims into its own table, so no synchronization is needed.
-    Executor(exec_).ParallelFor(n, [&](const Morsel& m) {
-      BuildSlice(m.worker, keys, values, m.begin, m.end);
-    });
+  /// Each worker owns locals_[worker]; a worker folds every morsel it
+  /// claims into its own table, so no synchronization is needed.
+  void ConsumeMorsel(const uint64_t* keys, const uint64_t* values,
+                     const Morsel& m) override {
+    LinearProbingMap<State>& local = *locals_[m.worker];
+    if constexpr (Aggregate::kNeedsValues) {
+      for (size_t i = m.begin; i < m.end; ++i) {
+        Aggregate::Update(local.GetOrInsert(keys[i]), values[i]);
+      }
+    } else {
+      for (size_t i = m.begin; i < m.end; ++i) {
+        Aggregate::Update(local.GetOrInsert(keys[i]), 0);
+      }
+    }
+    rows_consumed_[m.worker] += m.end - m.begin;
   }
 
   VectorResult Iterate() override {
@@ -99,12 +106,6 @@ class LocalPartitionAggregator final : public VectorAggregator,
   }
 
   // --- MigratableAggregator (core/migratable.h) -----------------------------
-
-  void ConsumeMorsel(const uint64_t* keys, const uint64_t* values,
-                     const Morsel& m) override {
-    BuildSlice(m.worker, keys, values, m.begin, m.end);
-    rows_consumed_[m.worker] += m.end - m.begin;
-  }
 
   ProgressSnapshot Progress() const override {
     uint64_t rows = 0;
@@ -141,8 +142,6 @@ class LocalPartitionAggregator final : public VectorAggregator,
     rows_consumed_[0] += partial.rows;
   }
 
-  VectorResult Finish() override { return Iterate(); }
-
   size_t NumGroups() const override {
     // Before the merge this is an upper bound; exact after Iterate().
     size_t total = 0;
@@ -170,20 +169,6 @@ class LocalPartitionAggregator final : public VectorAggregator,
   }
 
  private:
-  void BuildSlice(int t, const uint64_t* keys, const uint64_t* values,
-                  size_t begin, size_t end) {
-    LinearProbingMap<State>& local = *locals_[t];
-    if constexpr (Aggregate::kNeedsValues) {
-      for (size_t i = begin; i < end; ++i) {
-        Aggregate::Update(local.GetOrInsert(keys[i]), values[i]);
-      }
-    } else {
-      for (size_t i = begin; i < end; ++i) {
-        Aggregate::Update(local.GetOrInsert(keys[i]), 0);
-      }
-    }
-  }
-
   /// Folds `from` into `into` and frees the merged-away table eagerly.
   /// Move-assignment releases the old table's slots and its arena chunks
   /// wholesale — one deallocation per partition, not one per entry.
@@ -208,7 +193,7 @@ class LocalPartitionAggregator final : public VectorAggregator,
     // Round r merges table t+stride into table t; the pairs of one round are
     // disjoint, so each round runs in parallel (grain 1). log2(workers)
     // rounds total, versus (workers-1) serial table walks for kCentral.
-    Executor executor(exec_);
+    Executor executor(this->exec());
     for (size_t stride = 1; stride < locals_.size(); stride *= 2) {
       std::vector<std::pair<size_t, size_t>> pairs;
       for (size_t t = 0; t + stride < locals_.size(); t += 2 * stride) {
@@ -227,9 +212,8 @@ class LocalPartitionAggregator final : public VectorAggregator,
     }
   }
 
-  ExecutionContext exec_;
   LocalMergeMode merge_mode_;
-  WorkerLocal<uint64_t> rows_consumed_;  ///< Morsel-path rows, per worker.
+  WorkerLocal<uint64_t> rows_consumed_;  ///< Rows consumed, per worker.
   std::vector<std::unique_ptr<LinearProbingMap<State>>> locals_;
   QueryStats stats_;  // Merge-subphase timing and merge-round counts.
 };

@@ -5,10 +5,10 @@
 // the inputs that decide the winner — group cardinality, skew, working-set
 // size vs. cache — are only observable once rows start moving (the hash-vs-
 // sort study arXiv 2411.13245; Graefe's in-stream vs. sort-based merge,
-// arXiv 2010.00152). MigratableAggregator is the contract that makes
-// mid-query strategy changes possible: an operator consumes individual
-// morsels (instead of the whole input at once), reports cheap progress
-// snapshots, and can hand its partially built group state to a different
+// arXiv 2010.00152). Every vector operator already consumes its input one
+// morsel at a time (the consume protocol, core/operator.h); a migratable
+// family adds what a mid-query strategy change needs on top: cheap progress
+// snapshots, and handing its partially built group state to a different
 // strategy without reprocessing the consumed rows.
 //
 // Migration protocol (the hash→sort spill of the "Hybrid" label is one
@@ -19,16 +19,16 @@
 //     bit-identical to a single-strategy run.
 //   * Holistic aggregates' States are value buffers; they travel as partials
 //     too (Merge concatenates buffers) and sort-based absorbers may instead
-//     keep them aside and merge-join at Finish.
+//     keep them aside and merge-join them in their run scan.
 //   * Raw (key, value) records are the fallback representation: sort-based
 //     strategies that have not aggregated yet extract them verbatim, and
 //     every hash/tree strategy absorbs them through ordinary Updates.
 //
 // Lifecycle: BeginConsume → ConsumeMorsel (concurrently, one worker per
-// morsel) → [barrier: Progress / ExtractPartialState] → Finish. After
-// ExtractPartialState the operator is *drained*: its state has been moved
-// out and only destruction is valid (extraction exists to feed a successor
-// strategy, not to checkpoint a live one).
+// morsel) → [barrier: Progress / ExtractPartialState] → EndBatch →
+// Iterate. After ExtractPartialState the operator is *drained*: its state
+// has been moved out and only destruction is valid (extraction exists to
+// feed a successor strategy, not to checkpoint a live one).
 
 #ifndef MEMAGG_CORE_MIGRATABLE_H_
 #define MEMAGG_CORE_MIGRATABLE_H_
@@ -40,10 +40,20 @@
 
 #include "core/concepts.h"
 #include "core/operator.h"
-#include "core/result.h"
-#include "exec/morsel.h"
 
 namespace memagg {
+
+/// Cheap point-in-time progress report from a migratable operator, used by
+/// the adaptive operator's cost models (core/adaptive_aggregator.h). All
+/// three fields must be O(workers) to compute — never O(rows) or O(groups):
+/// the adaptive operator polls this at every morsel-chunk barrier.
+struct ProgressSnapshot {
+  uint64_t rows = 0;    ///< Input rows consumed so far.
+  uint64_t groups = 0;  ///< Distinct groups materialized so far (upper bound
+                        ///< for per-worker structures before their merge).
+  uint64_t bytes = 0;   ///< Bytes held by the operator's data structures
+                        ///< (arena-backed containers report reserved bytes).
+};
 
 /// Partially built aggregation state in transit between strategies.
 /// `partials` carries already-aggregated groups; `records` carries rows that
@@ -60,32 +70,17 @@ struct PartialAggState {
   bool empty() const { return partials.empty() && records.empty(); }
 };
 
-/// Interface every migratable strategy implements, templated on the
-/// aggregate policy so partial states are typed end-to-end. The five
-/// operator families in src/core/ implement it alongside VectorAggregator;
-/// the structural twin is the MigratableOperator concept (core/concepts.h).
-template <AggregatePolicy Aggregate>
-class MigratableAggregator {
+/// A vector operator whose partial state can move to another strategy
+/// mid-query, templated on the aggregate policy so partial states are typed
+/// end to end. Absorbing partials needs Aggregate::Merge, hence the
+/// constraint. The hash, tree, sort, local-partition, radix and striped
+/// families derive from it; the adaptive operator holds its strategy
+/// through it.
+template <MergeableAggregatePolicy Aggregate>
+class MigratableAggregator : public VectorAggregator {
  public:
   using Partial = PartialAggState<Aggregate>;
-
-  virtual ~MigratableAggregator() = default;
-
-  /// Called once per instance, from a single thread, before the first
-  /// ConsumeMorsel or AbsorbPartialState. `num_workers` bounds the
-  /// Morsel::worker ids later ConsumeMorsel calls will carry (sizes
-  /// per-worker slots); `expected_rows` is the number of rows the strategy
-  /// is expected to consume in total (pre-sizes buffers). Default: no-op.
-  virtual void BeginConsume(int num_workers, size_t expected_rows) {
-    (void)num_workers;
-    (void)expected_rows;
-  }
-
-  /// Consumes the rows of one claimed morsel. `values` may be nullptr when
-  /// the aggregate ignores the value column. Safe to call concurrently for
-  /// distinct morsels; `m.worker` is a stable slot id (exec/executor.h).
-  virtual void ConsumeMorsel(const uint64_t* keys, const uint64_t* values,
-                             const Morsel& m) = 0;
+  using VectorAggregator::VectorAggregator;
 
   /// Cheap progress report; called from a single thread at a barrier (no
   /// concurrent ConsumeMorsel calls in flight).
@@ -96,12 +91,8 @@ class MigratableAggregator {
   virtual Partial ExtractPartialState() = 0;
 
   /// Folds a predecessor strategy's extracted state in. Single-threaded, at
-  /// a barrier, before the next ConsumeMorsel wave.
+  /// a barrier, after BeginConsume and before the next ConsumeMorsel wave.
   virtual void AbsorbPartialState(Partial&& partial) = 0;
-
-  /// Finalizes and emits the result rows (the iterate phase of the strategy
-  /// the query ended on).
-  virtual VectorResult Finish() = 0;
 };
 
 }  // namespace memagg

@@ -30,16 +30,26 @@ class MphVectorAggregator final : public VectorAggregator {
 
   explicit MphVectorAggregator(size_t /*expected_size*/ = 0) {}
 
-  void Build(const uint64_t* keys, const uint64_t* values,
-             size_t n) override {
-    // The MPHF needs the complete key set, so records are buffered across
-    // Build calls and the function + dense states are rebuilt from scratch
-    // each time (the two-pass cost the paper anticipates).
-    buffered_keys_.insert(buffered_keys_.end(), keys, keys + n);
+  void BeginConsume(int num_workers, size_t /*expected_rows*/) override {
+    MEMAGG_CHECK(num_workers == 1 && "Hash_MPH consumes on one worker");
+  }
+
+  /// The MPHF needs the complete key set, so morsels only buffer their
+  /// records; EndBatch builds the function and the states.
+  void ConsumeMorsel(const uint64_t* keys, const uint64_t* values,
+                     const Morsel& m) override {
+    buffered_keys_.insert(buffered_keys_.end(), keys + m.begin,
+                          keys + m.end);
     if constexpr (Aggregate::kNeedsValues) {
-      MEMAGG_CHECK(values != nullptr || n == 0);
-      buffered_values_.insert(buffered_values_.end(), values, values + n);
+      MEMAGG_CHECK(values != nullptr);
+      buffered_values_.insert(buffered_values_.end(), values + m.begin,
+                              values + m.end);
     }
+  }
+
+  /// Rebuilds the function and the dense states from scratch over every
+  /// record buffered so far (the two-pass cost the paper anticipates).
+  void EndBatch() override {
     mph_.Build(buffered_keys_.data(), buffered_keys_.size());
     states_.clear();
     states_.resize(mph_.size());

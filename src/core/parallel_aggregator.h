@@ -38,7 +38,6 @@
 #include "mem/worker_arenas.h"
 #include "obs/query_stats.h"
 #include "util/encoded_key.h"
-#include "util/macros.h"
 #include "util/spinlock.h"
 #include "util/thread_annotations.h"
 
@@ -216,7 +215,7 @@ class TbbStyleParallelAggregator final : public VectorAggregator {
   /// budget; otherwise owns a private pool so direct construction (tests,
   /// benches) works without an engine.
   TbbStyleParallelAggregator(size_t expected_size, ExecutionContext exec)
-      : exec_(exec),
+      : VectorAggregator(exec),
         owned_arenas_(exec.arenas != nullptr &&
                               exec.arenas->num_workers() >= exec.num_threads
                           ? nullptr
@@ -230,16 +229,14 @@ class TbbStyleParallelAggregator final : public VectorAggregator {
     }
   }
 
-  void Build(const uint64_t* keys, const uint64_t* values,
-             size_t n) override {
-    Executor(exec_).ParallelFor(n, [&](const Morsel& m) {
-      NodeAlloc& pool = pools_[m.worker];
-      for (size_t i = m.begin; i < m.end; ++i) {
-        ConcurrentAggregate::Update(
-            map_.GetOrInsert(keys[i], pool),
-            ConcurrentAggregate::kNeedsValues ? values[i] : 0);
-      }
-    });
+  void ConsumeMorsel(const uint64_t* keys, const uint64_t* values,
+                     const Morsel& m) override {
+    NodeAlloc& pool = pools_[m.worker];
+    for (size_t i = m.begin; i < m.end; ++i) {
+      ConcurrentAggregate::Update(
+          map_.GetOrInsert(keys[i], pool),
+          ConcurrentAggregate::kNeedsValues ? values[i] : 0);
+    }
   }
 
   VectorResult Iterate() override {
@@ -268,7 +265,6 @@ class TbbStyleParallelAggregator final : public VectorAggregator {
   }
 
  private:
-  ExecutionContext exec_;
   std::unique_ptr<WorkerArenas> owned_arenas_;
   WorkerArenas* arenas_;
   // Declared between arenas_ and the node-holding members: reverse
@@ -291,17 +287,15 @@ class CuckooParallelAggregator final : public VectorAggregator {
   static_assert(ConcurrentGroupMap<CuckooMap<State>, State>);
 
   CuckooParallelAggregator(size_t expected_size, ExecutionContext exec)
-      : map_(expected_size), exec_(exec) {}
+      : VectorAggregator(exec), map_(expected_size) {}
 
-  void Build(const uint64_t* keys, const uint64_t* values,
-             size_t n) override {
-    Executor(exec_).ParallelFor(n, [&](const Morsel& m) {
-      for (size_t i = m.begin; i < m.end; ++i) {
-        const uint64_t value = Aggregate::kNeedsValues ? values[i] : 0;
-        map_.Upsert(keys[i],
-                    [value](State& state) { Aggregate::Update(state, value); });
-      }
-    });
+  void ConsumeMorsel(const uint64_t* keys, const uint64_t* values,
+                     const Morsel& m) override {
+    for (size_t i = m.begin; i < m.end; ++i) {
+      const uint64_t value = Aggregate::kNeedsValues ? values[i] : 0;
+      map_.Upsert(keys[i],
+                  [value](State& state) { Aggregate::Update(state, value); });
+    }
   }
 
   VectorResult Iterate() override {
@@ -324,15 +318,16 @@ class CuckooParallelAggregator final : public VectorAggregator {
 
  private:
   CuckooMap<State> map_;
-  ExecutionContext exec_;
 };
 
 /// Hash_Striped-style parallel aggregation: lock-striped serial
 /// linear-probing maps (see hash/striped_map.h). Updates run under the
 /// stripe lock, so plain aggregate policies work unchanged.
-template <AggregatePolicy Aggregate>
-class StripedParallelAggregator final : public VectorAggregator,
-                                        public MigratableAggregator<Aggregate> {
+///
+/// Every worker upserts into the one striped table, so there is no merge
+/// phase at all: Iterate() is a plain walk.
+template <MergeableAggregatePolicy Aggregate>
+class StripedParallelAggregator final : public MigratableAggregator<Aggregate> {
  public:
   using State = typename Aggregate::State;
   using Partial = PartialAggState<Aggregate>;
@@ -340,19 +335,18 @@ class StripedParallelAggregator final : public VectorAggregator,
       ConcurrentGroupMap<StripedMap<LinearProbingMap<State>>, State>);
 
   StripedParallelAggregator(size_t expected_size, ExecutionContext exec)
-      : map_(expected_size),
-        exec_(exec),
+      : MigratableAggregator<Aggregate>(exec),
+        map_(expected_size),
         rows_consumed_(Executor(exec).num_workers()) {}
 
-  void Build(const uint64_t* keys, const uint64_t* values,
-             size_t n) override {
-    Executor(exec_).ParallelFor(n, [&](const Morsel& m) {
-      for (size_t i = m.begin; i < m.end; ++i) {
-        const uint64_t value = Aggregate::kNeedsValues ? values[i] : 0;
-        map_.Upsert(keys[i],
-                    [value](State& state) { Aggregate::Update(state, value); });
-      }
-    });
+  void ConsumeMorsel(const uint64_t* keys, const uint64_t* values,
+                     const Morsel& m) override {
+    for (size_t i = m.begin; i < m.end; ++i) {
+      const uint64_t value = Aggregate::kNeedsValues ? values[i] : 0;
+      map_.Upsert(keys[i],
+                  [value](State& state) { Aggregate::Update(state, value); });
+    }
+    rows_consumed_[m.worker] += m.end - m.begin;
   }
 
   VectorResult Iterate() override {
@@ -365,20 +359,6 @@ class StripedParallelAggregator final : public VectorAggregator,
   }
 
   // --- MigratableAggregator (core/migratable.h) -----------------------------
-  // The shared-map strategy: every worker upserts into the one striped table,
-  // so there is no merge phase at all — ConsumeMorsel is just the Build body,
-  // and Finish() is a plain iterate.
-
-  void ConsumeMorsel(const uint64_t* keys, const uint64_t* values,
-                     const Morsel& m) override {
-    for (size_t i = m.begin; i < m.end; ++i) {
-      const uint64_t value =
-          Aggregate::kNeedsValues && values != nullptr ? values[i] : 0;
-      map_.Upsert(keys[i],
-                  [value](State& state) { Aggregate::Update(state, value); });
-    }
-    rows_consumed_[m.worker] += m.end - m.begin;
-  }
 
   ProgressSnapshot Progress() const override {
     uint64_t rows = 0;
@@ -401,12 +381,8 @@ class StripedParallelAggregator final : public VectorAggregator,
 
   void AbsorbPartialState(Partial&& partial) override {
     for (auto& [key, state] : partial.partials) {
-      if constexpr (MergeableAggregatePolicy<Aggregate>) {
-        State& from = state;
-        map_.Upsert(key, [&from](State& into) { Aggregate::Merge(into, from); });
-      } else {
-        MEMAGG_CHECK(false && "aggregate has no Merge; cannot absorb partials");
-      }
+      State& from = state;
+      map_.Upsert(key, [&from](State& into) { Aggregate::Merge(into, from); });
     }
     for (const auto& [key, value] : partial.records) {
       map_.Upsert(key,
@@ -414,8 +390,6 @@ class StripedParallelAggregator final : public VectorAggregator,
     }
     rows_consumed_[0] += partial.rows;
   }
-
-  VectorResult Finish() override { return Iterate(); }
 
   size_t NumGroups() const override { return map_.size(); }
 
@@ -435,8 +409,7 @@ class StripedParallelAggregator final : public VectorAggregator,
 
  private:
   StripedMap<LinearProbingMap<State>> map_;
-  ExecutionContext exec_;
-  WorkerLocal<uint64_t> rows_consumed_;  ///< Morsel-path rows, per worker.
+  WorkerLocal<uint64_t> rows_consumed_;  ///< Rows consumed, per worker.
 };
 
 }  // namespace memagg

@@ -1,6 +1,6 @@
 // Sort-based vector aggregation (paper Section 3.1).
 //
-// Build phase: copy the input into a scratch array (keys only, or
+// Build phase: copy the input into one row buffer (keys only, or
 // (key, value) records when the aggregate reads values) and sort it by key,
 // which places each group's records in one contiguous run. Iterate phase:
 // scan the runs; distributive/algebraic aggregates fold each run into a
@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -34,128 +35,144 @@ namespace memagg {
 
 /// Vector aggregation via sorting. `SorterT` is a functor from
 /// core/sorters.h modeling the Sorter concept; `Aggregate` is an aggregate
-/// policy. `Tracer` reports the operator's scratch-array accesses (the sort
+/// policy. `Tracer` reports the operator's row-buffer accesses (the sort
 /// kernel itself is traced by wrapping the sorter's KeyOf — see
 /// sim/traced_engine.h).
-template <Sorter SorterT, AggregatePolicy Aggregate,
+template <Sorter SorterT, MergeableAggregatePolicy Aggregate,
           MemoryTracer Tracer = NullTracer>
-class SortVectorAggregator final : public VectorAggregator,
-                                   public MigratableAggregator<Aggregate> {
+class SortVectorAggregator final : public MigratableAggregator<Aggregate> {
  public:
+  using State = typename Aggregate::State;
   using Partial = PartialAggState<Aggregate>;
+  /// A buffered row: the key alone when the aggregate ignores values, so
+  /// COUNT keeps the paper's 8 B/row (Tables 6-7); else (key, value).
+  using Row = std::conditional_t<Aggregate::kNeedsValues,
+                                 std::pair<uint64_t, uint64_t>, uint64_t>;
 
   explicit SortVectorAggregator(SorterT sorter = SorterT{})
       : sorter_(std::move(sorter)) {}
 
-  /// Appends the batch and keeps the buffer sorted: the new rows are sorted
-  /// and merged into the rows of earlier calls, so a first Build is one
-  /// sort of the batch.
-  void Build(const uint64_t* keys, const uint64_t* values,
-             size_t n) override {
-    if constexpr (Aggregate::kNeedsValues) {
-      const size_t old = records_.size();
-      records_.resize(old + n);
-      for (size_t i = old; i < old + n; ++i) {
-        records_[i] = {keys[i - old], values[i - old]};
-        Tracer::OnAccess(&records_[i], sizeof(records_[i]));
-      }
-      SortAppended(records_, old, PairFirstKey{});
-    } else {
-      const size_t old = keys_.size();
-      keys_.insert(keys_.end(), keys, keys + n);
-      if constexpr (Tracer::kEnabled) {
-        for (size_t i = old; i < old + n; ++i) {
-          Tracer::OnAccess(&keys_[i], sizeof(uint64_t));
-        }
-      }
-      SortAppended(keys_, old, IdentityKey{});
-    }
-    stats_.Add(StatCounter::kRowsSorted, n);
-  }
-
   void BuildOwned(std::vector<uint64_t>&& keys,
                   std::vector<uint64_t>&& values) override {
-    MEMAGG_CHECK(keys_.empty() && records_.empty() &&
-                 "BuildOwned runs once, on an empty operator");
+    MEMAGG_CHECK(rows_.empty() && "BuildOwned runs once, on an empty operator");
     if constexpr (Aggregate::kNeedsValues) {
       // (key, value) records must be materialized, but the source columns
       // are released as soon as they are zipped.
-      const size_t n = keys.size();
-      records_.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        records_[i] = {keys[i], values[i]};
+      rows_.resize(keys.size());
+      for (size_t i = 0; i < keys.size(); ++i) {
+        rows_[i] = {keys[i], values[i]};
       }
       std::vector<uint64_t>().swap(keys);
       std::vector<uint64_t>().swap(values);
-      PhaseTimer sort_timer(&stats_, StatPhase::kSort);
-      sorter_(records_.data(), records_.data() + n, PairFirstKey{});
-      sort_timer.Stop();
-      stats_.Add(StatCounter::kRowsSorted, n);
     } else {
       // In-place: adopt the caller's array and sort it directly — no copy,
       // the paper's memory-efficient sort path.
-      keys_ = std::move(keys);
+      rows_ = std::move(keys);
       values.clear();
-      PhaseTimer sort_timer(&stats_, StatPhase::kSort);
-      sorter_(keys_.data(), keys_.data() + keys_.size(), IdentityKey{});
-      sort_timer.Stop();
-      stats_.Add(StatCounter::kRowsSorted, keys_.size());
     }
+    EndBatch();
   }
 
-  VectorResult Iterate() override { return IterateImpl(0, ~0ULL); }
-
-  // --- MigratableAggregator (core/migratable.h) -----------------------------
-  // Morsel-path consumption only buffers (key, value) records per worker —
-  // no aggregation work happens until Finish(), which sorts the gathered
-  // buffers and merge-joins them with any partial states absorbed from a
-  // predecessor hash strategy (the hash→sort spill).
-
+  /// One worker appends straight to the buffer that gets sorted; more
+  /// workers get private buffers, which EndBatch concatenates.
   void BeginConsume(int num_workers, size_t expected_rows) override {
-    MEMAGG_CHECK(consume_buffers_ == nullptr && "BeginConsume is once-only");
-    consume_buffers_ = std::make_unique<WorkerLocal<RecordVec>>(num_workers);
+    if (num_workers == 1) {
+      rows_.reserve(rows_.size() + expected_rows);
+      return;
+    }
+    MEMAGG_CHECK(worker_rows_ == nullptr && "BeginConsume is once-only");
+    worker_rows_ = std::make_unique<WorkerLocal<std::vector<Row>>>(num_workers);
     const size_t per_worker =
         expected_rows / static_cast<size_t>(num_workers) + 1;
-    consume_buffers_->ForEach(
-        [per_worker](RecordVec& buf) { buf.reserve(per_worker); });
+    worker_rows_->ForEach(
+        [per_worker](std::vector<Row>& buf) { buf.reserve(per_worker); });
   }
 
   void ConsumeMorsel(const uint64_t* keys, const uint64_t* values,
                      const Morsel& m) override {
-    RecordVec& buf = (*consume_buffers_)[m.worker];
-    for (size_t i = m.begin; i < m.end; ++i) {
-      buf.emplace_back(keys[i], values == nullptr ? 0 : values[i]);
+    std::vector<Row>& out =
+        worker_rows_ == nullptr ? rows_ : (*worker_rows_)[m.worker];
+    if constexpr (Aggregate::kNeedsValues) {
+      for (size_t i = m.begin; i < m.end; ++i) {
+        out.emplace_back(keys[i], values[i]);
+        Tracer::OnAccess(&out.back(), sizeof(Row));
+      }
+    } else {
+      const size_t old = out.size();
+      out.insert(out.end(), keys + m.begin, keys + m.end);
+      if constexpr (Tracer::kEnabled) {
+        for (size_t i = old; i < out.size(); ++i) {
+          Tracer::OnAccess(&out[i], sizeof(Row));
+        }
+      }
     }
   }
 
+  /// Sorts the batch's rows and merges them into the sorted rows of earlier
+  /// batches, so a first batch is one sort and the sort stays in the build
+  /// phase. Absorbed partials sort by key for the run scan's merge-join.
+  void EndBatch() override {
+    if (worker_rows_ != nullptr) {
+      size_t total = rows_.size();
+      worker_rows_->ForEach(
+          [&total](std::vector<Row>& buf) { total += buf.size(); });
+      rows_.reserve(total);
+      worker_rows_->ForEach([this](std::vector<Row>& buf) {
+        rows_.insert(rows_.end(), buf.begin(), buf.end());
+        std::vector<Row>().swap(buf);
+      });
+    }
+    {
+      PhaseTimer sort_timer(&stats_, StatPhase::kSort);
+      sorter_(rows_.data() + sorted_, rows_.data() + rows_.size(), KeyOf{});
+      std::inplace_merge(rows_.begin(), rows_.begin() + sorted_, rows_.end(),
+                         KeyLess<KeyOf>{});
+    }
+    stats_.Add(StatCounter::kRowsSorted, rows_.size() - sorted_);
+    sorted_ = rows_.size();
+    std::sort(absorbed_.begin(), absorbed_.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+  }
+
+  VectorResult Iterate() override { return Scan(0, ~0ULL); }
+
+  /// Sorted data admits range filtering by scanning the bounded subrange;
+  /// exposed for completeness (the paper's Q7 focuses on trees).
+  bool SupportsRange() const override { return true; }
+
+  VectorResult IterateRange(uint64_t lo, uint64_t hi) override {
+    return Scan(lo, hi);
+  }
+
+  // --- MigratableAggregator (core/migratable.h) -----------------------------
+  // Consuming only buffers rows; a hash predecessor's partial states are
+  // kept aside and merge-joined with the sorted runs by the scan (the
+  // hash→sort spill).
+
   ProgressSnapshot Progress() const override {
     ProgressSnapshot snapshot;
-    snapshot.rows = partial_rows_;
-    snapshot.bytes =
-        absorbed_.capacity() * sizeof(typename AbsorbedVec::value_type);
-    if (consume_buffers_ != nullptr) {
-      for (int w = 0; w < consume_buffers_->size(); ++w) {
-        snapshot.rows += (*consume_buffers_)[w].size();
-        snapshot.bytes += (*consume_buffers_)[w].capacity() *
-                          sizeof(std::pair<uint64_t, uint64_t>);
+    snapshot.rows = partial_rows_ + rows_.size();
+    if (worker_rows_ != nullptr) {
+      for (int w = 0; w < worker_rows_->size(); ++w) {
+        snapshot.rows += (*worker_rows_)[w].size();
       }
     }
+    snapshot.bytes = DataStructureBytes();
     snapshot.groups = 0;  // Unknown until the sort; 0 means "no estimate".
     return snapshot;
   }
 
   Partial ExtractPartialState() override {
     Partial out;
-    if (consume_buffers_ != nullptr) {
-      size_t total = 0;
-      consume_buffers_->ForEach(
-          [&total](RecordVec& buf) { total += buf.size(); });
-      out.records.reserve(total);
-      consume_buffers_->ForEach([&out](RecordVec& buf) {
-        out.records.insert(out.records.end(), buf.begin(), buf.end());
-        RecordVec().swap(buf);
-      });
-    }
+    const auto take = [&out](std::vector<Row>& rows) {
+      for (const Row& row : rows) {
+        out.records.emplace_back(KeyOf{}(row), ValueOf(row));
+      }
+      std::vector<Row>().swap(rows);
+    };
+    take(rows_);
+    if (worker_rows_ != nullptr) worker_rows_->ForEach(take);
+    sorted_ = 0;
     out.partials = std::move(absorbed_);
     absorbed_.clear();
     out.rows = out.records.size() + partial_rows_;
@@ -164,9 +181,13 @@ class SortVectorAggregator final : public VectorAggregator,
   }
 
   void AbsorbPartialState(Partial&& partial) override {
-    MEMAGG_CHECK(consume_buffers_ != nullptr && "call BeginConsume first");
-    RecordVec& buf = (*consume_buffers_)[0];
-    buf.insert(buf.end(), partial.records.begin(), partial.records.end());
+    for (const auto& [key, value] : partial.records) {
+      if constexpr (Aggregate::kNeedsValues) {
+        rows_.emplace_back(key, value);
+      } else {
+        rows_.push_back(key);
+      }
+    }
     partial_rows_ += partial.rows - partial.records.size();
     absorbed_.reserve(absorbed_.size() + partial.partials.size());
     for (auto& entry : partial.partials) {
@@ -174,94 +195,35 @@ class SortVectorAggregator final : public VectorAggregator,
     }
   }
 
-  VectorResult Finish() override {
-    // The buffered rows move into records_, where NumGroups() and
-    // DataStructureBytes() see them after the run.
-    if (consume_buffers_ != nullptr) {
-      size_t total = 0;
-      consume_buffers_->ForEach(
-          [&total](RecordVec& buf) { total += buf.size(); });
-      records_.reserve(total);
-      consume_buffers_->ForEach([this](RecordVec& buf) {
-        records_.insert(records_.end(), buf.begin(), buf.end());
-        RecordVec().swap(buf);
-      });
-    }
-    {
-      PhaseTimer sort_timer(&stats_, StatPhase::kSort);
-      sorter_(records_.data(), records_.data() + records_.size(),
-              PairFirstKey{});
-    }
-    stats_.Add(StatCounter::kRowsSorted, records_.size());
-    // Partials sort by key so the scan below is a linear merge-join;
-    // duplicate keys (one per predecessor worker table) coalesce via Merge.
-    std::sort(absorbed_.begin(), absorbed_.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-
-    VectorResult result;
-    size_t pi = 0;
-    auto emit_partials_below = [&](uint64_t bound, bool inclusive) {
-      while (pi < absorbed_.size() &&
-             (absorbed_[pi].first < bound ||
-              (inclusive && absorbed_[pi].first == bound))) {
-        const EncodedKey key = absorbed_[pi].first;
-        typename Aggregate::State state = std::move(absorbed_[pi].second);
-        ++pi;
-        MergeSameKeyPartials(key, &state, &pi);
-        result.push_back({key, Aggregate::Finalize(state)});
-      }
-    };
-    const size_t n = records_.size();
-    size_t run_start = 0;
-    while (run_start < n) {
-      const EncodedKey key = records_[run_start].first;
-      size_t run_end = run_start + 1;
-      while (run_end < n && records_[run_end].first == key) ++run_end;
-      emit_partials_below(key, /*inclusive=*/false);
-      typename Aggregate::State state{};
-      for (size_t i = run_start; i < run_end; ++i) {
-        Aggregate::Update(state, records_[i].second);
-      }
-      MergeSameKeyPartials(key, &state, &pi);
-      result.push_back({key, Aggregate::Finalize(state)});
-      run_start = run_end;
-    }
-    emit_partials_below(~0ULL, /*inclusive=*/true);
-    return result;
-  }
-
-  /// Sorted data admits range filtering by scanning the bounded subrange;
-  /// exposed for completeness (the paper's Q7 focuses on trees).
-  bool SupportsRange() const override { return true; }
-
-  VectorResult IterateRange(uint64_t lo, uint64_t hi) override {
-    return IterateImpl(lo, hi);
-  }
-
   /// Distinct keys across every row and partial state held. Counted on a
-  /// key copy: during a morsel-path run the rows sit unsorted in per-worker
-  /// buffers, and a const call must not reorder them.
+  /// key copy: rows consumed since the last EndBatch are unsorted, and a
+  /// const call must not reorder them.
   size_t NumGroups() const override {
-    std::vector<EncodedKey> keys(keys_.begin(), keys_.end());
+    std::vector<EncodedKey> keys;
     const auto add_keys = [&keys](const auto& rows) {
-      for (const auto& row : rows) keys.push_back(row.first);
+      for (const auto& row : rows) keys.push_back(KeyOf{}(row));
     };
-    add_keys(records_);
-    add_keys(absorbed_);
-    if (consume_buffers_ != nullptr) {
-      for (int w = 0; w < consume_buffers_->size(); ++w) {
-        add_keys((*consume_buffers_)[w]);
+    add_keys(rows_);
+    if (worker_rows_ != nullptr) {
+      for (int w = 0; w < worker_rows_->size(); ++w) {
+        add_keys((*worker_rows_)[w]);
       }
     }
+    for (const auto& entry : absorbed_) keys.push_back(entry.first);
     std::sort(keys.begin(), keys.end());
     return static_cast<size_t>(std::unique(keys.begin(), keys.end()) -
                                keys.begin());
   }
 
   size_t DataStructureBytes() const override {
-    return keys_.capacity() * sizeof(uint64_t) +
-           records_.capacity() * sizeof(std::pair<uint64_t, uint64_t>) +
-           Progress().bytes;
+    size_t bytes = rows_.capacity() * sizeof(Row) +
+                   absorbed_.capacity() * sizeof(absorbed_[0]);
+    if (worker_rows_ != nullptr) {
+      for (int w = 0; w < worker_rows_->size(); ++w) {
+        bytes += (*worker_rows_)[w].capacity() * sizeof(Row);
+      }
+    }
+    return bytes;
   }
 
   void CollectStats(QueryStats* stats) const override {
@@ -269,106 +231,89 @@ class SortVectorAggregator final : public VectorAggregator,
   }
 
  private:
-  VectorResult IterateImpl(uint64_t lo, uint64_t hi) {
-    VectorResult result;
+  using KeyOf = std::conditional_t<Aggregate::kNeedsValues, PairFirstKey,
+                                   IdentityKey>;
+
+  static uint64_t ValueOf(const Row& row) {
     if constexpr (Aggregate::kNeedsValues) {
-      const size_t n = records_.size();
-      size_t run_start = 0;
-      while (run_start < n) {
-        const EncodedKey key = records_[run_start].first;
-        size_t run_end = run_start + 1;
-        Tracer::OnAccess(&records_[run_start], sizeof(records_[run_start]));
-        while (run_end < n && records_[run_end].first == key) {
-          Tracer::OnAccess(&records_[run_end], sizeof(records_[run_end]));
-          ++run_end;
-        }
-        if (key >= lo && key <= hi) {
-          result.push_back({key, AggregateRun(run_start, run_end)});
-        }
-        run_start = run_end;
-      }
+      return row.second;
     } else {
-      const size_t n = keys_.size();
-      size_t run_start = 0;
-      while (run_start < n) {
-        const EncodedKey key = keys_[run_start];
-        size_t run_end = run_start + 1;
-        Tracer::OnAccess(&keys_[run_start], sizeof(uint64_t));
-        while (run_end < n && keys_[run_end] == key) {
-          Tracer::OnAccess(&keys_[run_end], sizeof(uint64_t));
-          ++run_end;
-        }
-        if (key >= lo && key <= hi) {
-          typename Aggregate::State state{};
-          for (size_t i = run_start; i < run_end; ++i) {
-            Aggregate::Update(state, 0);
-          }
-          result.push_back({key, Aggregate::Finalize(state)});
-        }
-        run_start = run_end;
+      return 0;
+    }
+  }
+
+  /// The one run scan, behind Iterate and IterateRange: walks the sorted
+  /// rows run by run, merge-joins the sorted absorbed partials, and emits
+  /// the groups with keys in [lo, hi].
+  VectorResult Scan(uint64_t lo, uint64_t hi) {
+    VectorResult result;
+    const size_t n = rows_.size();
+    size_t run_begin = 0;
+    size_t partial_begin = 0;
+    while (run_begin < n || partial_begin < absorbed_.size()) {
+      const bool from_rows =
+          run_begin < n && (partial_begin == absorbed_.size() ||
+                            KeyOf{}(rows_[run_begin]) <=
+                                absorbed_[partial_begin].first);
+      const EncodedKey key = from_rows ? KeyOf{}(rows_[run_begin])
+                                       : absorbed_[partial_begin].first;
+      size_t run_end = run_begin;
+      while (run_end < n && KeyOf{}(rows_[run_end]) == key) {
+        Tracer::OnAccess(&rows_[run_end], sizeof(Row));
+        ++run_end;
       }
+      size_t partial_end = partial_begin;
+      while (partial_end < absorbed_.size() &&
+             absorbed_[partial_end].first == key) {
+        ++partial_end;
+      }
+      if (key > hi) break;
+      if (key >= lo) {
+        result.push_back(
+            {key, AggregateGroup(run_begin, run_end, partial_begin,
+                                 partial_end)});
+      }
+      run_begin = run_end;
+      partial_begin = partial_end;
     }
     return result;
   }
 
-  /// Aggregates one group's run of records. Holistic aggregates with a
-  /// FinalizeRun fast path operate on the run's values in place; others fold
-  /// through their state.
-  double AggregateRun(size_t run_start, size_t run_end) {
-    const size_t count = run_end - run_start;
+  /// Aggregates one group: its run of rows plus any absorbed partials.
+  /// Holistic aggregates with a FinalizeRun fast path evaluate a run that
+  /// has no partial over its values in place; the rest fold through a state.
+  double AggregateGroup(size_t run_begin, size_t run_end, size_t partial_begin,
+                        size_t partial_end) {
     if constexpr (requires(uint64_t* v, size_t c) {
                     Aggregate::FinalizeRun(v, c);
                   }) {
-      run_values_.resize(count);
-      for (size_t i = 0; i < count; ++i) {
-        run_values_[i] = records_[run_start + i].second;
+      if (partial_begin == partial_end) {
+        run_values_.resize(run_end - run_begin);
+        for (size_t i = run_begin; i < run_end; ++i) {
+          run_values_[i - run_begin] = ValueOf(rows_[i]);
+        }
+        return Aggregate::FinalizeRun(run_values_.data(), run_values_.size());
       }
-      return Aggregate::FinalizeRun(run_values_.data(), count);
-    } else {
-      typename Aggregate::State state{};
-      for (size_t i = run_start; i < run_end; ++i) {
-        Aggregate::Update(state, records_[i].second);
-      }
-      return Aggregate::Finalize(state);
     }
-  }
-
-  /// Sorts rows [old, end) and merges them into the sorted rows before
-  /// them.
-  template <SortableRecord Row, KeyExtractor<Row> KeyOf>
-  void SortAppended(std::vector<Row>& rows, size_t old, KeyOf key_of) {
-    PhaseTimer sort_timer(&stats_, StatPhase::kSort);
-    sorter_(rows.data() + old, rows.data() + rows.size(), key_of);
-    std::inplace_merge(rows.begin(), rows.begin() + old, rows.end(),
-                       KeyLess<KeyOf>{key_of});
-  }
-
-  using RecordVec = std::vector<std::pair<uint64_t, uint64_t>>;
-  using AbsorbedVec =
-      std::vector<std::pair<uint64_t, typename Aggregate::State>>;
-
-  /// Folds every absorbed partial whose key equals `key` into `state`,
-  /// advancing `*pi` past them. Requires absorbed_ sorted by key.
-  void MergeSameKeyPartials(EncodedKey key, typename Aggregate::State* state,
-                            size_t* pi) {
-    while (*pi < absorbed_.size() && absorbed_[*pi].first == key) {
-      if constexpr (MergeableAggregatePolicy<Aggregate>) {
-        Aggregate::Merge(*state, absorbed_[*pi].second);
-      } else {
-        MEMAGG_CHECK(false && "aggregate has no Merge; cannot absorb partials");
-      }
-      ++*pi;
+    State state{};
+    for (size_t i = run_begin; i < run_end; ++i) {
+      Aggregate::Update(state, ValueOf(rows_[i]));
     }
+    for (size_t p = partial_begin; p < partial_end; ++p) {
+      Aggregate::Merge(state, absorbed_[p].second);
+    }
+    return Aggregate::Finalize(state);
   }
 
   SorterT sorter_;
-  std::vector<uint64_t> keys_;
-  std::vector<std::pair<uint64_t, uint64_t>> records_;
+  std::vector<Row> rows_;  ///< Sorted in [0, sorted_); a batch appends after.
+  size_t sorted_ = 0;
+  /// Per-worker buffers, only when more than one worker consumes.
+  std::unique_ptr<WorkerLocal<std::vector<Row>>> worker_rows_;
   std::vector<uint64_t> run_values_;  // Scratch for holistic runs.
-  // Migratable-path state: per-worker record buffers and partial states
-  // absorbed from a predecessor strategy (merged at Finish).
-  std::unique_ptr<WorkerLocal<RecordVec>> consume_buffers_;
-  AbsorbedVec absorbed_;
+  /// Partial states absorbed from a predecessor strategy, key-sorted at
+  /// EndBatch.
+  std::vector<std::pair<uint64_t, State>> absorbed_;
   uint64_t partial_rows_ = 0;  ///< Rows represented by absorbed_ partials.
   QueryStats stats_;           // Sort-kernel subphase + row counts.
 };

@@ -19,7 +19,6 @@
 #include "core/result.h"
 #include "obs/query_stats.h"
 #include "util/encoded_key.h"
-#include "util/macros.h"
 
 namespace memagg {
 
@@ -27,11 +26,10 @@ namespace memagg {
 /// template (ArtTree, JudyArray, BTree, TTree); `Aggregate` is an aggregate
 /// policy from core/aggregate.h. The tree instantiated at the aggregate's
 /// State type must model OrderedGroupStore (core/concepts.h).
-template <template <typename> class TreeT, AggregatePolicy Aggregate>
+template <template <typename> class TreeT, MergeableAggregatePolicy Aggregate>
   requires OrderedGroupStore<TreeT<typename Aggregate::State>,
                              typename Aggregate::State>
-class TreeVectorAggregator final : public VectorAggregator,
-                                   public MigratableAggregator<Aggregate> {
+class TreeVectorAggregator final : public MigratableAggregator<Aggregate> {
  public:
   using State = typename Aggregate::State;
   using Partial = PartialAggState<Aggregate>;
@@ -40,17 +38,20 @@ class TreeVectorAggregator final : public VectorAggregator,
   /// pre-sizing is needed or possible.
   TreeVectorAggregator() = default;
 
-  void Build(const uint64_t* keys, const uint64_t* values,
-             size_t n) override {
+  /// Serial, like the hash operator: ConsumeMorsel never runs concurrently
+  /// with itself.
+  void ConsumeMorsel(const uint64_t* keys, const uint64_t* values,
+                     const Morsel& m) override {
     if constexpr (Aggregate::kNeedsValues) {
-      for (size_t i = 0; i < n; ++i) {
+      for (size_t i = m.begin; i < m.end; ++i) {
         Aggregate::Update(tree_.GetOrInsert(keys[i]), values[i]);
       }
     } else {
-      for (size_t i = 0; i < n; ++i) {
+      for (size_t i = m.begin; i < m.end; ++i) {
         Aggregate::Update(tree_.GetOrInsert(keys[i]), 0);
       }
     }
+    rows_consumed_ += m.end - m.begin;
   }
 
   VectorResult Iterate() override {
@@ -73,15 +74,6 @@ class TreeVectorAggregator final : public VectorAggregator,
   }
 
   // --- MigratableAggregator (core/migratable.h) -----------------------------
-  // Single-worker strategy, like the hash operator: ConsumeMorsel never runs
-  // concurrently with itself.
-
-  void ConsumeMorsel(const uint64_t* keys, const uint64_t* values,
-                     const Morsel& m) override {
-    Build(keys + m.begin, values == nullptr ? nullptr : values + m.begin,
-          m.end - m.begin);
-    rows_consumed_ += m.end - m.begin;
-  }
 
   ProgressSnapshot Progress() const override {
     return {rows_consumed_, tree_.size(), tree_.MemoryBytes()};
@@ -103,19 +95,13 @@ class TreeVectorAggregator final : public VectorAggregator,
 
   void AbsorbPartialState(Partial&& partial) override {
     for (auto& [key, state] : partial.partials) {
-      if constexpr (MergeableAggregatePolicy<Aggregate>) {
-        Aggregate::Merge(tree_.GetOrInsert(key), state);
-      } else {
-        MEMAGG_CHECK(false && "aggregate has no Merge; cannot absorb partials");
-      }
+      Aggregate::Merge(tree_.GetOrInsert(key), state);
     }
     for (const auto& [key, value] : partial.records) {
       Aggregate::Update(tree_.GetOrInsert(key), value);
     }
     rows_consumed_ += partial.rows;
   }
-
-  VectorResult Finish() override { return Iterate(); }
 
   size_t NumGroups() const override { return tree_.size(); }
 
@@ -155,7 +141,7 @@ class TreeVectorAggregator final : public VectorAggregator,
 
  private:
   TreeT<State> tree_;
-  uint64_t rows_consumed_ = 0;  ///< Morsel-path rows (Progress reporting).
+  uint64_t rows_consumed_ = 0;  ///< Rows consumed (Progress reporting).
 };
 
 }  // namespace memagg

@@ -9,9 +9,10 @@
 // negligible (Leis et al., "Morsel-Driven Parallelism", SIGMOD'14).
 //
 // The morsel grid is a pure function of (n, grain): morsel i always covers
-// [i * grain, min(n, (i+1) * grain)). Operators that need per-morsel side
-// arrays (radix histograms, scatter offsets) can therefore size and index
-// them deterministically, independent of which worker runs which morsel.
+// [i * grain, min(n, (i+1) * grain)). Loops that need per-morsel side
+// arrays (samplesort histograms, scatter offsets) can therefore size and
+// index them deterministically, independent of which worker runs which
+// morsel.
 
 #ifndef MEMAGG_EXEC_MORSEL_H_
 #define MEMAGG_EXEC_MORSEL_H_

@@ -4,18 +4,16 @@
 // bijection), so distinct keys never collide before the table reduction.
 //
 // The scalar mix itself lives in util/simd.h (simd::HashMix64) so the SIMD
-// lanes can vectorize the identical constants; HashKey delegates to it and
-// HashKeysBatch exposes the dispatched N-at-a-time form for columnar passes
-// (radix-partition histogram/scatter). HashKeyAlt stays a hand-written
-// scalar on purpose: cuckoo hashing needs its two hash families independent,
-// and keeping Alt out of the shared-mixer path means a future batch-hash
+// lanes can vectorize the identical constants (SimdOps::HashBatch);
+// HashKey delegates to it. HashKeyAlt stays a hand-written scalar on
+// purpose: cuckoo hashing needs its two hash families independent, and
+// keeping Alt out of the shared-mixer path means a future batch-hash
 // rewrite cannot quietly collapse them into one family
 // (tests/hash_fn_test.cc pins the independence statistically).
 
 #ifndef MEMAGG_HASH_HASH_FN_H_
 #define MEMAGG_HASH_HASH_FN_H_
 
-#include <cstddef>
 #include <cstdint>
 
 #include "util/encoded_key.h"
@@ -25,12 +23,6 @@ namespace memagg {
 
 /// Mixes `key` into a uniformly distributed 64-bit hash.
 inline uint64_t HashKey(EncodedKey key) { return simd::HashMix64(key); }
-
-/// Hashes `n` keys at once through the active SIMD lane: out[i] =
-/// HashKey(keys[i]), bit-identical to the scalar loop on every lane.
-inline void HashKeysBatch(const uint64_t* keys, size_t n, uint64_t* out) {
-  simd::DispatchOps::HashBatch(keys, n, out);
-}
 
 /// A second, independent hash for cuckoo hashing's alternate table.
 /// Deliberately NOT routed through simd::HashMix64 — see the header comment.

@@ -46,7 +46,7 @@ struct StatsConfig {
 /// time is therefore contained in — not additive with — its enclosing
 /// phase, and TotalCycles()/TotalMillis() sum only kBuild + kIterate.
 enum class StatPhase : size_t {
-  kPartition = 0,  ///< Subphase: histogram + scatter passes.
+  kPartition = 0,  ///< Subphase: a partitioning pass over the input.
   kBuild,          ///< Phase: consuming input into the data structure.
   kSort,           ///< Subphase: the sort kernel.
   kIterate,        ///< Phase: emitting result rows.

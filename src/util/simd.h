@@ -1,8 +1,8 @@
 // SIMD hot-path kernels with runtime lane dispatch.
 //
 // The paper's compare-bound inner loops — hash-table tag probing, ART child
-// key scans, cuckoo bucket scans, and the radix histogram's hash pass — are
-// all "find a byte/word among N" problems that vectorize directly. This
+// key scans, cuckoo bucket scans — are all "find a byte/word among N"
+// problems that vectorize directly, as does hashing a run of keys. This
 // header names those kernels once, behind the `SimdOps` concept, and
 // provides three interchangeable lanes:
 //

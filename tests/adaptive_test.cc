@@ -11,12 +11,14 @@
 
 #include "core/adaptive_aggregator.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/advisor.h"
 #include "core/engine.h"
 #include "core/experiment.h"
 #include "core/migratable.h"
@@ -30,134 +32,183 @@ namespace {
 
 // --- MigratableAggregator pair-wise migration (direct interface use). ---
 
-struct MigratableFactory {
+template <MergeableAggregatePolicy Aggregate>
+struct Migratable {
   const char* name;
-  std::unique_ptr<VectorAggregator> op;
-  MigratableAggregator<SumAggregate>* mig;
+  std::unique_ptr<MigratableAggregator<Aggregate>> op;
 };
 
-std::vector<MigratableFactory> AllMigratables(size_t expected,
-                                              ExecutionContext exec) {
-  std::vector<MigratableFactory> out;
-  {
-    auto op = std::make_unique<
-        HashVectorAggregator<LinearProbingMap, SumAggregate>>(expected);
-    auto* mig = op.get();
-    out.push_back({"hash", std::move(op), mig});
-  }
-  {
-    auto op = std::make_unique<TreeVectorAggregator<ArtTree, SumAggregate>>();
-    auto* mig = op.get();
-    out.push_back({"tree", std::move(op), mig});
-  }
-  {
-    auto op = std::make_unique<LocalPartitionAggregator<SumAggregate>>(
-        expected, exec, LocalMergeMode::kCentral);
-    auto* mig = op.get();
-    out.push_back({"local-central", std::move(op), mig});
-  }
-  {
-    auto op = std::make_unique<LocalPartitionAggregator<SumAggregate>>(
-        expected, exec, LocalMergeMode::kTree);
-    auto* mig = op.get();
-    out.push_back({"local-tree", std::move(op), mig});
-  }
-  {
-    auto op = std::make_unique<RadixPartitionAggregator<SumAggregate>>(
-        expected, exec);
-    auto* mig = op.get();
-    out.push_back({"radix", std::move(op), mig});
-  }
-  {
-    auto op = std::make_unique<StripedParallelAggregator<SumAggregate>>(
-        expected, exec);
-    auto* mig = op.get();
-    out.push_back({"shared-map", std::move(op), mig});
-  }
-  {
-    auto op = std::make_unique<
-        SortVectorAggregator<BlockIndirectSorter, SumAggregate>>();
-    auto* mig = op.get();
-    out.push_back({"sort", std::move(op), mig});
-  }
+template <MergeableAggregatePolicy Aggregate>
+std::vector<Migratable<Aggregate>> AllMigratables(size_t expected,
+                                                  ExecutionContext exec) {
+  std::vector<Migratable<Aggregate>> out;
+  out.push_back({"hash", std::make_unique<HashVectorAggregator<
+                             LinearProbingMap, Aggregate>>(expected)});
+  out.push_back(
+      {"tree", std::make_unique<TreeVectorAggregator<ArtTree, Aggregate>>()});
+  out.push_back({"local-central",
+                 std::make_unique<LocalPartitionAggregator<Aggregate>>(
+                     expected, exec, LocalMergeMode::kCentral)});
+  out.push_back({"local-tree",
+                 std::make_unique<LocalPartitionAggregator<Aggregate>>(
+                     expected, exec, LocalMergeMode::kTree)});
+  out.push_back({"radix", std::make_unique<RadixPartitionAggregator<Aggregate>>(
+                              expected, exec)});
+  out.push_back({"shared-map",
+                 std::make_unique<StripedParallelAggregator<Aggregate>>(
+                     expected, exec)});
+  out.push_back({"sort", std::make_unique<SortVectorAggregator<
+                             BlockIndirectSorter, Aggregate>>()});
   return out;
 }
 
-void ConsumeRange(MigratableAggregator<SumAggregate>* mig,
-                  const std::vector<uint64_t>& keys,
-                  const std::vector<uint64_t>& values, size_t grain,
-                  size_t first_morsel, size_t last_morsel) {
+/// Feeds morsels [first_morsel, last_morsel) of the `grain`-row grid over
+/// `keys` to `op`, dealt round-robin to `workers` worker slots the way
+/// concurrent workers would claim them.
+void ConsumeRange(VectorAggregator* op, const std::vector<uint64_t>& keys,
+                  const uint64_t* values, size_t grain, size_t first_morsel,
+                  size_t last_morsel, int workers = 1) {
   for (size_t i = first_morsel; i < last_morsel; ++i) {
     Morsel m;
     m.index = i;
     m.begin = i * grain;
     m.end = std::min(keys.size(), m.begin + grain);
-    m.worker = 0;
-    mig->ConsumeMorsel(keys.data(), values.data(), m);
+    m.worker = static_cast<int>(i % static_cast<size_t>(workers));
+    op->ConsumeMorsel(keys.data(), values, m);
   }
 }
 
-TEST(MigratableTest, EveryPairMigratesExactly) {
+template <MergeableAggregatePolicy Aggregate>
+void ExpectEveryPairMigratesExactly(AggregateFunction fn) {
   DatasetSpec spec{Distribution::kRseqShuffled, 20000, 512, 71};
   const auto keys = GenerateKeys(spec);
   const auto values = GenerateValues(keys.size(), 1000, 72);
-  auto expected = ReferenceVectorAggregate(keys, values,
-                                           AggregateFunction::kSum);
+  auto expected = ReferenceVectorAggregate(keys, values, fn);
   SortByKey(expected);
 
   const size_t grain = 1024;
   const size_t num_morsels = NumMorselsFor(keys.size(), grain);
   const size_t half = num_morsels / 2;
   const ExecutionContext exec{1};
-  const size_t names = AllMigratables(512, exec).size();
+  const size_t names = AllMigratables<Aggregate>(512, exec).size();
 
   for (size_t a = 0; a < names; ++a) {
     for (size_t b = 0; b < names; ++b) {
-      auto froms = AllMigratables(512, exec);
-      auto tos = AllMigratables(512, exec);
-      MigratableFactory& from = froms[a];
-      MigratableFactory& to = tos[b];
+      auto froms = AllMigratables<Aggregate>(512, exec);
+      auto tos = AllMigratables<Aggregate>(512, exec);
+      Migratable<Aggregate>& from = froms[a];
+      Migratable<Aggregate>& to = tos[b];
+      const std::string pair = std::string(from.name) + " -> " + to.name +
+                               " " + AggregateFunctionName(fn);
 
-      from.mig->BeginConsume(1, keys.size());
-      ConsumeRange(from.mig, keys, values, grain, 0, half);
-      const ProgressSnapshot progress = from.mig->Progress();
-      EXPECT_EQ(progress.rows, half * grain) << from.name;
+      from.op->BeginConsume(1, keys.size());
+      ConsumeRange(from.op.get(), keys, values.data(), grain, 0, half);
+      const ProgressSnapshot progress = from.op->Progress();
+      EXPECT_EQ(progress.rows, half * grain) << pair;
 
-      to.mig->BeginConsume(1, keys.size());
-      to.mig->AbsorbPartialState(from.mig->ExtractPartialState());
-      ConsumeRange(to.mig, keys, values, grain, half, num_morsels);
-      auto result = to.mig->Finish();
+      to.op->BeginConsume(1, keys.size());
+      to.op->AbsorbPartialState(from.op->ExtractPartialState());
+      ConsumeRange(to.op.get(), keys, values.data(), grain, half,
+                   num_morsels);
+      to.op->EndBatch();
+      auto result = to.op->Iterate();
       SortByKey(result);
 
-      ASSERT_EQ(result.size(), expected.size())
-          << from.name << " -> " << to.name;
+      ASSERT_EQ(result.size(), expected.size()) << pair;
       for (size_t i = 0; i < result.size(); ++i) {
-        EXPECT_EQ(result[i].key, expected[i].key)
-            << from.name << " -> " << to.name;
-        EXPECT_DOUBLE_EQ(result[i].value, expected[i].value)
-            << from.name << " -> " << to.name;
+        EXPECT_EQ(result[i].key, expected[i].key) << pair;
+        EXPECT_DOUBLE_EQ(result[i].value, expected[i].value) << pair;
       }
     }
   }
 }
 
-TEST(MigratableTest, ProgressReportsRowsAndGroups) {
+// COUNT moves keys-only sort rows, SUM distributive partials, and MEDIAN
+// holistic value buffers.
+TEST(MigratableTest, EveryPairMigratesExactly) {
+  ExpectEveryPairMigratesExactly<CountAggregate>(AggregateFunction::kCount);
+  ExpectEveryPairMigratesExactly<SumAggregate>(AggregateFunction::kSum);
+  ExpectEveryPairMigratesExactly<MedianAggregate>(AggregateFunction::kMedian);
+}
+
+template <MergeableAggregatePolicy Aggregate>
+void ExpectProgressReportsRowsAndGroups() {
   DatasetSpec spec{Distribution::kRseqShuffled, 8192, 64, 73};
   const auto keys = GenerateKeys(spec);
   const std::vector<uint64_t> values(keys.size(), 1);
   const ExecutionContext exec{1};
-  for (auto& factory : AllMigratables(64, exec)) {
-    factory.mig->BeginConsume(1, keys.size());
-    ConsumeRange(factory.mig, keys, values, 1024, 0,
+  for (auto& factory : AllMigratables<Aggregate>(64, exec)) {
+    factory.op->BeginConsume(1, keys.size());
+    ConsumeRange(factory.op.get(), keys, values.data(), 1024, 0,
                  NumMorselsFor(keys.size(), 1024));
-    const ProgressSnapshot progress = factory.mig->Progress();
+    const ProgressSnapshot progress = factory.op->Progress();
     EXPECT_EQ(progress.rows, keys.size()) << factory.name;
+    EXPECT_GT(progress.bytes, 0u) << factory.name;
     // Sort buffers raw rows and reports no group estimate; hash-family
     // structures must have materialized every distinct key.
     if (std::string(factory.name) != "sort") {
       EXPECT_GE(progress.groups, 64u) << factory.name;
-      EXPECT_GT(progress.bytes, 0u) << factory.name;
     }
+  }
+}
+
+TEST(MigratableTest, ProgressReportsRowsAndGroups) {
+  ExpectProgressReportsRowsAndGroups<CountAggregate>();
+  ExpectProgressReportsRowsAndGroups<SumAggregate>();
+  ExpectProgressReportsRowsAndGroups<MedianAggregate>();
+}
+
+// The radix tables that hold the consumed rows are the ones NumGroups()
+// and DataStructureBytes() read, before Iterate() as after it.
+TEST(MigratableTest, RadixReportsGroupsAndBytesWhileConsuming) {
+  DatasetSpec spec{Distribution::kRseqShuffled, 200000, 50000, 74};
+  const auto keys = GenerateKeys(spec);
+  const auto values = GenerateValues(keys.size(), 1000, 75);
+  const size_t distinct = CountDistinct(keys);
+  RadixPartitionAggregator<SumAggregate> radix(64, ExecutionContext{4});
+  radix.BeginConsume(4, keys.size());
+  ConsumeRange(&radix, keys, values.data(), 4096, 0,
+               NumMorselsFor(keys.size(), 4096), /*workers=*/4);
+  // An upper bound before the merge: a key counts once per worker.
+  EXPECT_GE(radix.NumGroups(), distinct);
+  EXPECT_GE(radix.DataStructureBytes(),
+            distinct * sizeof(SumAggregate::State));
+  radix.EndBatch();
+  EXPECT_EQ(radix.Iterate().size(), distinct);
+  EXPECT_EQ(radix.NumGroups(), distinct);
+
+  DatasetSpec small{Distribution::kRseqShuffled, 100000, 5000, 76};
+  const auto small_keys = GenerateKeys(small);
+  AdaptiveOptions options;
+  options.strategies = AggStrategySet::Of({AggStrategy::kRadix});
+  AdaptiveAggregator<CountAggregate> adaptive(small_keys.size(),
+                                              ExecutionContext{4}, options);
+  adaptive.Build(small_keys.data(), nullptr, small_keys.size());
+  EXPECT_GE(adaptive.NumGroups(), 5000u);
+  EXPECT_GE(adaptive.DataStructureBytes(),
+            5000 * sizeof(CountAggregate::State));
+  EXPECT_EQ(adaptive.Iterate().size(), 5000u);
+  EXPECT_EQ(adaptive.NumGroups(), 5000u);
+}
+
+// COUNT ignores values, so its sort rows are bare keys on the morsel path
+// too: 8 B/row (paper Tables 6-7) plus O(workers), whether one worker
+// appends to the sorted buffer or several fill private buffers.
+TEST(MigratableTest, SortCountRowsTakeEightBytesOnTheMorselPath) {
+  DatasetSpec spec{Distribution::kRseqShuffled, 200000, 5000, 77};
+  const auto keys = GenerateKeys(spec);
+  for (const int workers : {1, 4}) {
+    SortVectorAggregator<SpreadsortSorter, CountAggregate> sort;
+    sort.BeginConsume(workers, keys.size());
+    ConsumeRange(&sort, keys, nullptr, 5000, 0,
+                 NumMorselsFor(keys.size(), 5000), workers);
+    const size_t bound =
+        keys.size() * sizeof(uint64_t) + 64 * static_cast<size_t>(workers);
+    EXPECT_LE(sort.DataStructureBytes(), bound) << workers;
+    sort.EndBatch();
+    EXPECT_LE(sort.DataStructureBytes(), bound) << workers;
+    EXPECT_EQ(sort.Iterate().size(), 5000u) << workers;
+    EXPECT_LE(sort.DataStructureBytes(), bound) << workers;
   }
 }
 
@@ -505,14 +556,19 @@ TEST(AdaptiveTest, EngineLabelMatchesReference) {
   }
 }
 
-TEST(AdaptiveTest, AutoResolvesToAdaptiveForVectorQueries) {
+// "auto" has one meaning across the front-ends: the Figure 12 advisor.
+TEST(AdaptiveTest, AutoIsTheAdvisorsPickForVectorQueries) {
   ExperimentConfig config;
   config.query = MakeQ1();
   config.dataset = DatasetSpec{Distribution::kRseqShuffled, 100000, 1000, 90};
   config.algorithm = "auto";
   config.num_threads = 2;
   const ExperimentResult result = RunExperiment(config);
-  EXPECT_EQ(result.algorithm, "Adaptive");
+  EXPECT_EQ(result.algorithm,
+            RecommendAlgorithm(ProfileForQuery(config.query, /*worm=*/false,
+                                               /*prebuilt_index=*/false,
+                                               config.num_threads)));
+  EXPECT_NE(result.algorithm, kAdaptiveLabel);
   EXPECT_EQ(result.num_groups, 1000u);
 }
 

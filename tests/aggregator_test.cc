@@ -12,6 +12,7 @@
 #include "data/dataset.h"
 #include "exec/executor.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace memagg {
 namespace {
@@ -165,6 +166,44 @@ TEST(AggregatorContractTest, EveryLabelAccumulatesAcrossTwoBuilds) {
         SortByKey(result);
         EXPECT_EQ(result, expected) << info.name << "@" << threads << " "
                                     << AggregateFunctionName(fn);
+      }
+    }
+  }
+}
+
+// Every registry row builds only through the consume protocol's one driver
+// (core/operator.h). Sweep it over the morsel grids the driver can lay
+// out — one-row and three-row morsels and the default grain, at one worker
+// and, for parallel rows, four — and over tiny and empty inputs.
+TEST(AggregatorContractTest, EveryLabelMatchesTheReferenceOnEveryMorselGrid) {
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{17}, size_t{5000}}) {
+    Rng rng(Rng::kDefaultSeed + n);
+    std::vector<uint64_t> keys(n);
+    std::vector<uint64_t> values(n);
+    for (size_t i = 0; i < n; ++i) {
+      keys[i] = rng.Next() % (n / 3 + 1);
+      values[i] = rng.Next() % 1000;
+    }
+    for (AggregateFunction fn :
+         {AggregateFunction::kCount, AggregateFunction::kSum,
+          AggregateFunction::kMedian}) {
+      const VectorResult expected = ReferenceVectorAggregate(keys, values, fn);
+      for (const LabelInfo& info : AllLabels()) {
+        for (const int threads : {1, 4}) {
+          if (threads > 1 && !info.parallel) continue;
+          for (const size_t morsel_rows : {size_t{1}, size_t{3}, size_t{0}}) {
+            ExecutionContext exec{threads};
+            exec.morsel_rows = morsel_rows;
+            auto aggregator = MakeVectorAggregator(info.name, fn, n, exec);
+            aggregator->Build(keys.data(), values.data(), n);
+            auto result = aggregator->Iterate();
+            SortByKey(result);
+            EXPECT_EQ(result, expected)
+                << info.name << "@" << threads << " morsel_rows="
+                << morsel_rows << " n=" << n << " "
+                << AggregateFunctionName(fn);
+          }
+        }
       }
     }
   }

@@ -17,12 +17,11 @@ ExperimentConfig SmallConfig() {
   return config;
 }
 
-TEST(ExperimentTest, Q1AutoResolvesToAdaptiveAndMatchesReference) {
+TEST(ExperimentTest, Q1AdaptiveMatchesReference) {
   ExperimentConfig config = SmallConfig();
   config.query = MakeQ1();
+  config.algorithm = kAdaptiveLabel;
   const ExperimentResult result = RunExperiment(config);
-  // "auto" means adaptive-at-runtime for vector queries (docs/adaptive.md),
-  // not the static Figure 12 pick.
   EXPECT_EQ(result.algorithm, "Adaptive");
   EXPECT_EQ(result.num_groups, 256u);
   auto rows = result.rows;
@@ -34,9 +33,10 @@ TEST(ExperimentTest, Q1AutoResolvesToAdaptiveAndMatchesReference) {
   EXPECT_GT(result.data_structure_bytes, 0u);
 }
 
-TEST(ExperimentTest, Q3AutoResolvesToAdaptiveAndMatchesReference) {
+TEST(ExperimentTest, Q3AdaptiveMatchesReference) {
   ExperimentConfig config = SmallConfig();
   config.query = MakeQ3();
+  config.algorithm = kAdaptiveLabel;
   const ExperimentResult result = RunExperiment(config);
   EXPECT_EQ(result.algorithm, "Adaptive");
   EXPECT_EQ(result.num_groups, 256u);

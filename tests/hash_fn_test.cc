@@ -34,7 +34,7 @@ std::vector<uint64_t> SampleKeys() {
 TEST(HashFnTest, BatchMatchesScalar) {
   const auto keys = SampleKeys();
   std::vector<uint64_t> out(keys.size());
-  HashKeysBatch(keys.data(), keys.size(), out.data());
+  simd::DispatchOps::HashBatch(keys.data(), keys.size(), out.data());
   for (size_t i = 0; i < keys.size(); ++i) {
     ASSERT_EQ(out[i], HashKey(keys[i])) << "i=" << i;
   }
@@ -46,7 +46,7 @@ TEST(HashFnTest, BatchHandlesShortAndUnalignedTails) {
     std::vector<uint64_t> keys(n);
     for (auto& k : keys) k = rng.Next();
     std::vector<uint64_t> out(n);
-    HashKeysBatch(keys.data(), n, out.data());
+    simd::DispatchOps::HashBatch(keys.data(), n, out.data());
     for (size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], HashKey(keys[i]));
   }
 }
@@ -127,7 +127,7 @@ TEST(HashFnTest, AltGivesDistinctCuckooBuckets) {
   // And the batch path must not change the primary hash those buckets are
   // derived from.
   std::vector<uint64_t> batch(keys.size());
-  HashKeysBatch(keys.data(), keys.size(), batch.data());
+  simd::DispatchOps::HashBatch(keys.data(), keys.size(), batch.data());
   for (size_t i = 0; i < 16; ++i) {
     ASSERT_EQ(batch[i] & kMask, HashKey(keys[i]) & kMask);
   }

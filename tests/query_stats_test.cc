@@ -255,7 +255,7 @@ TEST(QueryStatsEndToEndTest, LocalPartitionReportsMergeAccounting) {
   EXPECT_GT(execution.stats.PhaseCycles(StatPhase::kMerge), 0u);
 }
 
-TEST(QueryStatsEndToEndTest, RadixPartitionReportsPartitionPhase) {
+TEST(QueryStatsEndToEndTest, RadixPartitionReportsMergePhase) {
   if (!StatsConfig::kEnabled) GTEST_SKIP() << "stats compiled out";
   DatasetSpec spec{Distribution::kRseqShuffled, 100000, 500, 136};
   const auto keys = GenerateKeys(spec);
@@ -264,10 +264,11 @@ TEST(QueryStatsEndToEndTest, RadixPartitionReportsPartitionPhase) {
                          nullptr, keys.size(), keys.size(),
                          ExecutionContext{4});
   EXPECT_EQ(execution.stats.Get(StatCounter::kPartitions), 4u);
-  EXPECT_GT(execution.stats.PhaseCycles(StatPhase::kPartition), 0u);
-  // The partition subphase is contained in build, never larger than it.
-  EXPECT_LE(execution.stats.PhaseCycles(StatPhase::kPartition),
-            execution.stats.PhaseCycles(StatPhase::kBuild));
+  EXPECT_EQ(execution.stats.Get(StatCounter::kMergeRounds), 1u);
+  EXPECT_GT(execution.stats.PhaseCycles(StatPhase::kMerge), 0u);
+  // The worker copies of each partition merge inside the iterate phase.
+  EXPECT_LE(execution.stats.PhaseCycles(StatPhase::kMerge),
+            execution.stats.PhaseCycles(StatPhase::kIterate));
 }
 
 TEST(QueryStatsEndToEndTest, CuckooKicksSurfaceUnderChurn) {

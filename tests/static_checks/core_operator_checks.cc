@@ -44,27 +44,6 @@ static_assert(ScalarOperator<TreeScalarMedianAggregator<ArtTree>>);
 static_assert(!AggregationOperator<VectorAggregator>);
 static_assert(!ScalarOperator<ScalarAggregator>);
 
-// Adaptive-switchable strategies: the five named operator families plus the
-// striped shared map expose the MigratableAggregator protocol structurally.
-static_assert(
-    MigratableOperator<HashVectorAggregator<LinearProbingMap, SumAggregate>>);
-static_assert(MigratableOperator<TreeVectorAggregator<ArtTree, SumAggregate>>);
-static_assert(MigratableOperator<LocalPartitionAggregator<SumAggregate>>);
-static_assert(MigratableOperator<RadixPartitionAggregator<SumAggregate>>);
-static_assert(
-    MigratableOperator<SortVectorAggregator<BlockIndirectSorter, SumAggregate>>);
-static_assert(MigratableOperator<StripedParallelAggregator<SumAggregate>>);
-// Holistic policies migrate too (their states concatenate on Merge).
-static_assert(MigratableOperator<RadixPartitionAggregator<MedianAggregate>>);
-
-// Negative models: the TBB-style operator keeps atomic per-entry state that
-// cannot be extracted as plain policy states; the adaptive operator itself
-// is a consumer of the protocol, not a strategy; the abstract base alone
-// does not satisfy the structural concept's constructability requirements.
-static_assert(
-    !MigratableOperator<TbbStyleParallelAggregator<ConcurrentSumAggregate>>);
-static_assert(!MigratableOperator<AdaptiveAggregator<SumAggregate>>);
-
 // The adaptive operator is itself a first-class engine operator.
 static_assert(AggregationOperator<AdaptiveAggregator<SumAggregate>>);
 static_assert(AggregationOperator<AdaptiveAggregator<MedianAggregate>>);

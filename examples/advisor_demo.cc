@@ -1,9 +1,11 @@
 // Walks the paper's Figure 12 decision flow chart for every Table 1 query
 // under several workload assumptions, printing the decision path and the
 // recommended algorithm, then executes each recommendation on a small
-// dataset to show the advice is runnable as-is.
+// dataset to show the advice is runnable as-is: vector queries run through
+// ExecuteVectorQuery("auto"), which makes the same pick.
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,9 +39,9 @@ int main() {
   const auto keys = GenerateKeys(spec);
   const auto values = GenerateValues(keys.size(), 1000);
   for (const Query& query : queries) {
-    const std::string label = RecommendAlgorithm(ProfileForQuery(query));
     if (query.output == OutputFormat::kScalar) {
       if (query.function == AggregateFunction::kMedian) {
+        const std::string label = RecommendAlgorithm(ProfileForQuery(query));
         auto aggregator = MakeScalarMedianAggregator(label);
         aggregator->Build(keys.data(), nullptr, keys.size());
         std::printf("%s via %s -> %.2f\n", query.id.c_str(), label.c_str(),
@@ -50,15 +52,15 @@ int main() {
       }
       continue;
     }
-    auto aggregator =
-        MakeVectorAggregator(label, query.function, keys.size());
-    aggregator->Build(keys.data(), values.data(), keys.size());
-    const auto result = query.has_range_condition
-                            ? aggregator->IterateRange(query.range_lo,
-                                                       query.range_hi)
-                            : aggregator->Iterate();
-    std::printf("%s via %s -> %zu groups\n", query.id.c_str(), label.c_str(),
-                result.size());
+    std::optional<KeyRange> range;
+    if (query.has_range_condition) {
+      range = KeyRange{query.range_lo, query.range_hi};
+    }
+    const VectorQueryExecution execution =
+        ExecuteVectorQuery("auto", query.function, keys.data(), values.data(),
+                           keys.size(), keys.size(), {}, range);
+    std::printf("%s via %s -> %zu groups\n", query.id.c_str(),
+                execution.label.c_str(), execution.result.size());
   }
   return 0;
 }

@@ -1,5 +1,5 @@
 // Adaptive aggregation operator: online strategy selection with mid-query
-// switching (ROADMAP open item #1).
+// switching.
 //
 // The Figure 12 advisor (core/advisor.h) picks a strategy before execution,
 // but its decisive inputs — group cardinality, skew, working-set size versus

@@ -98,7 +98,21 @@ VectorQueryExecution ExecuteVectorQuery(const std::string& label,
                                         const uint64_t* keys,
                                         const uint64_t* values, size_t n,
                                         size_t expected_size,
-                                        ExecutionContext exec) {
+                                        ExecutionContext exec,
+                                        std::optional<KeyRange> range) {
+  VectorQueryExecution execution;
+  execution.label = label;
+  if (label == "auto") {
+    WorkloadProfile profile;
+    profile.category = CategoryOf(function);
+    profile.has_range_condition = range.has_value();
+    profile.num_threads = exec.num_threads;
+    execution.label = RecommendAlgorithm(profile);
+  }
+  // The thread budget is a ceiling: the advisor's range branch picks a
+  // serial tree at any budget, and a caller may pin a serial label too.
+  if (!FindLabel(execution.label).parallel) exec.num_threads = 1;
+
   StatsRegistry local_registry(exec.num_threads);
   if (exec.stats == nullptr) exec.stats = &local_registry;
   // Query-local per-worker arenas: parallel operators allocate their nodes
@@ -107,12 +121,12 @@ VectorQueryExecution ExecuteVectorQuery(const std::string& label,
   // whose nodes live in it).
   WorkerArenas local_arenas(exec.num_threads);
   if (exec.arenas == nullptr) exec.arenas = &local_arenas;
-  auto aggregator = MakeVectorAggregator(label, function, expected_size, exec);
+  auto aggregator =
+      MakeVectorAggregator(execution.label, function, expected_size, exec);
   // Pre-size growable tables from a sampled cardinality estimate; the
   // sampling cost stays outside the timed build phase.
   aggregator->ReserveGroups(EstimateGroupCardinality(keys, n));
 
-  VectorQueryExecution execution;
   // The end-to-end build/iterate clocks are the bench contract, not
   // operator instrumentation: they are two timer reads per whole phase and
   // stay live even under MEMAGG_DISABLE_STATS (which is why CycleTimer is
@@ -128,7 +142,16 @@ VectorQueryExecution ExecuteVectorQuery(const std::string& label,
   {
     CycleTimer timer;
     timer.Start();
-    execution.result = aggregator->Iterate();
+    if (range && aggregator->SupportsRange()) {
+      execution.result = aggregator->IterateRange(range->lo, range->hi);
+    } else {
+      execution.result = aggregator->Iterate();
+      if (range) {
+        std::erase_if(execution.result, [&range](const GroupResult& row) {
+          return row.key < range->lo || row.key > range->hi;
+        });
+      }
+    }
     timer.Stop();
     execution.stats.AddPhase(StatPhase::kIterate, timer.ElapsedCycles(),
                              timer.ElapsedMillis());

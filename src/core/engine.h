@@ -9,7 +9,9 @@
 #define MEMAGG_CORE_ENGINE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,7 +68,8 @@ const std::vector<std::string>& ScalarCapableLabels();
 /// `expected_size` pre-sizes hash tables (pass the record count, per the
 /// paper's assumption). `exec` carries the thread budget (an int converts
 /// implicitly): num_threads > 1 selects the concurrent variant of a
-/// parallel label (LabelInfo::parallel); serial labels abort on it. All
+/// parallel label (LabelInfo::parallel). A serial label given more than
+/// one thread aborts here; ExecuteVectorQuery instead runs it on one. All
 /// parallel operators run on the shared morsel-driven scheduler (src/exec/)
 /// — no operator spawns threads of its own.
 std::unique_ptr<VectorAggregator> MakeVectorAggregator(
@@ -78,27 +81,45 @@ std::unique_ptr<VectorAggregator> MakeVectorAggregator(
 std::unique_ptr<ScalarAggregator> MakeScalarMedianAggregator(
     const std::string& label, const ExecutionContext& exec = {});
 
+/// A Q7 condition (paper Table 1): group keys in [lo, hi], inclusive.
+struct KeyRange {
+  uint64_t lo = 0;
+  uint64_t hi = ~0ULL;
+};
+
 /// A query result paired with the execution statistics of the run that
 /// produced it (phase timings, operator counters, morsel accounting — see
 /// obs/query_stats.h).
 struct VectorQueryExecution {
   VectorResult result;
   QueryStats stats;
+  /// The label that actually ran ("auto" resolved).
+  std::string label;
 };
 
-/// Runs one vector aggregation end to end through the engine registry and
-/// returns the result rows next to a QueryStats snapshot: build/iterate
-/// phase timings measured here, the operator's own phase splits and
-/// structure counters (CollectStats), and — for parallel labels — the
-/// morsel/worker accounting recorded by the executor. If `exec.stats` is
-/// null a private StatsRegistry sized to `exec.num_threads` is used.
-/// `values` may be nullptr for value-less aggregates (COUNT).
+/// Runs one vector aggregation end to end and returns the result rows next
+/// to a QueryStats snapshot: build/iterate phase timings measured here, the
+/// operator's own phase splits and structure counters (CollectStats), and —
+/// for parallel labels — the morsel/worker accounting recorded by the
+/// executor. This is the one vector-query path; GroupByAggregate and
+/// ExecuteTableQuery forward to it.
+///
+/// `label` is any registry label, or "auto" for the Figure 12 advisor's
+/// pick from `function`'s category, `range` and the thread budget. A label
+/// whose registry row is not `parallel` runs with one thread whatever
+/// `exec.num_threads` says (the advisor's range branch picks a serial tree
+/// at any budget). `range` is the query's optional Q7 condition: trees and
+/// sorts answer it with a native range scan, every other operator iterates
+/// all groups and filters (paper Section 5.6). If `exec.stats` is null a
+/// private StatsRegistry sized to the thread count is used. `values` may be
+/// nullptr for value-less aggregates (COUNT).
 VectorQueryExecution ExecuteVectorQuery(const std::string& label,
                                         AggregateFunction function,
                                         const uint64_t* keys,
                                         const uint64_t* values, size_t n,
                                         size_t expected_size,
-                                        ExecutionContext exec = {});
+                                        ExecutionContext exec = {},
+                                        std::optional<KeyRange> range = {});
 
 }  // namespace memagg
 

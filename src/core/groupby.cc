@@ -1,6 +1,9 @@
 #include "core/groupby.h"
 
 #include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "core/advisor.h"
 #include "core/engine.h"
@@ -8,21 +11,6 @@
 #include "util/macros.h"
 
 namespace memagg {
-namespace {
-
-std::string ResolveLabel(AggregateFunction function,
-                         const GroupByOptions& options, OutputFormat output) {
-  if (options.algorithm != "auto") return options.algorithm;
-  WorkloadProfile profile;
-  profile.output = output;
-  profile.category = CategoryOf(function);
-  profile.has_range_condition = options.has_range_condition;
-  profile.prebuilt_index = false;
-  profile.num_threads = options.num_threads;
-  return RecommendAlgorithm(profile);
-}
-
-}  // namespace
 
 VectorResult GroupByAggregate(std::span<const uint64_t> keys,
                               std::span<const uint64_t> values,
@@ -31,34 +19,15 @@ VectorResult GroupByAggregate(std::span<const uint64_t> keys,
   MEMAGG_CHECK(values.empty() || values.size() == keys.size());
   MEMAGG_CHECK(!NeedsValueColumn(function) || !values.empty() ||
                keys.empty());
-  const std::string label =
-      ResolveLabel(function, options, OutputFormat::kVector);
-  // Tree recommendations from the range branch are single-threaded.
-  const int threads = CategoryOfLabel(label) == AlgorithmCategory::kTree
-                          ? 1
-                          : options.num_threads;
-  auto aggregator =
-      MakeVectorAggregator(label, function, keys.size(), threads);
-  aggregator->ReserveGroups(
-      options.expected_groups != 0
-          ? options.expected_groups
-          : EstimateGroupCardinality(keys.data(), keys.size()));
-  aggregator->Build(keys.data(), values.empty() ? nullptr : values.data(),
-                    keys.size());
-  if (options.has_range_condition && aggregator->SupportsRange()) {
-    return aggregator->IterateRange(options.range_lo, options.range_hi);
-  }
-  VectorResult result = aggregator->Iterate();
+  std::optional<KeyRange> range;
   if (options.has_range_condition) {
-    // Hash operator with a range condition: post-filter.
-    result.erase(std::remove_if(result.begin(), result.end(),
-                                [&options](const GroupResult& row) {
-                                  return row.key < options.range_lo ||
-                                         row.key > options.range_hi;
-                                }),
-                 result.end());
+    range = KeyRange{options.range_lo, options.range_hi};
   }
-  return result;
+  return ExecuteVectorQuery(options.algorithm, function, keys.data(),
+                            values.empty() ? nullptr : values.data(),
+                            keys.size(), keys.size(), options.num_threads,
+                            range)
+      .result;
 }
 
 double ScalarAggregate(std::span<const uint64_t> column,
@@ -85,8 +54,12 @@ double ScalarAggregate(std::span<const uint64_t> column,
       return static_cast<double>(sum) / static_cast<double>(column.size());
     }
     case AggregateFunction::kMedian: {
-      const std::string label =
-          ResolveLabel(function, options, OutputFormat::kScalar);
+      WorkloadProfile profile;
+      profile.output = OutputFormat::kScalar;
+      profile.num_threads = options.num_threads;
+      const std::string label = options.algorithm == "auto"
+                                    ? RecommendAlgorithm(profile)
+                                    : options.algorithm;
       auto aggregator =
           MakeScalarMedianAggregator(label, options.num_threads);
       aggregator->Build(column.data(), nullptr, column.size());

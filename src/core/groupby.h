@@ -1,12 +1,12 @@
 // One-call convenience API: group-by aggregation over columns with the
 // algorithm chosen automatically by the Figure 12 advisor (or pinned by
-// label). This is the entry point most applications want; the two-phase
-// operator API underneath remains available for phase-level control.
+// label). GroupByAggregate forwards to ExecuteVectorQuery (core/engine.h),
+// which also returns the query's stats; the two-phase operator API
+// underneath remains available for phase-level control.
 
 #ifndef MEMAGG_CORE_GROUPBY_H_
 #define MEMAGG_CORE_GROUPBY_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -27,10 +27,6 @@ struct GroupByOptions {
   bool has_range_condition = false;
   uint64_t range_lo = 0;
   uint64_t range_hi = ~0ULL;
-  /// Expected distinct group count, used to pre-size growable tables and
-  /// avoid rehash churn. 0 = estimate from a key sample (see
-  /// EstimateGroupCardinality in core/advisor.h).
-  size_t expected_groups = 0;
 };
 
 /// SELECT key, fn(value) ... GROUP BY key. `values` may be empty for

@@ -24,8 +24,11 @@
 //   5. per-aggregate results are aligned by encoded key, sorted into
 //      canonical group order, and decoded back to column values.
 //
-// The label may be "auto": the advisor picks it from the query shape and
-// the codec's key width (core/advisor.h).
+// The label may be "auto": the advisor picks it once per query from the
+// query shape and the codec's key width (core/advisor.h), and every
+// aggregate runs that label. A serial label runs on one thread whatever
+// the budget (ExecuteVectorQuery's thread rule), so the range branch's
+// tree pick is valid at any thread count.
 //
 // Measure columns must be kU64 — aggregate states stay integer-exact, which
 // is what makes golden-file validation byte-stable across every family and

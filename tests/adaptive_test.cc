@@ -20,8 +20,8 @@
 
 #include "core/advisor.h"
 #include "core/engine.h"
-#include "core/experiment.h"
 #include "core/migratable.h"
+#include "core/query.h"
 #include "core/tree_aggregator.h"
 #include "data/dataset.h"
 #include "test_util.h"
@@ -253,8 +253,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 4),
                        ::testing::Values(64ULL, 4096ULL, 60000ULL)),
     [](const ::testing::TestParamInfo<std::tuple<int, uint64_t>>& info) {
-      return "t" + std::to_string(std::get<0>(info.param)) + "_c" +
-             std::to_string(std::get<1>(info.param));
+      // Appends only: GCC 12 at -O3 reports a false -Wrestrict overlap in
+      // `"literal" + std::string&&` (its front insert) in this file.
+      std::string name = "t";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_c";
+      name += std::to_string(std::get<1>(info.param));
+      return name;
     });
 
 TEST(AdaptiveTest, RotationHandlesHolisticAggregates) {
@@ -530,7 +535,7 @@ TEST(HybridTest, ChoiceStaysInsideTheSet) {
             AggStrategy::kLocalCentral);
 }
 
-// --- Engine and experiment integration. ---
+// --- Engine integration. ---
 
 TEST(AdaptiveTest, EngineLabelMatchesReference) {
   DatasetSpec spec{Distribution::kZipf, 100000, 10000, 88};
@@ -558,27 +563,30 @@ TEST(AdaptiveTest, EngineLabelMatchesReference) {
 
 // "auto" has one meaning across the front-ends: the Figure 12 advisor.
 TEST(AdaptiveTest, AutoIsTheAdvisorsPickForVectorQueries) {
-  ExperimentConfig config;
-  config.query = MakeQ1();
-  config.dataset = DatasetSpec{Distribution::kRseqShuffled, 100000, 1000, 90};
-  config.algorithm = "auto";
-  config.num_threads = 2;
-  const ExperimentResult result = RunExperiment(config);
-  EXPECT_EQ(result.algorithm,
-            RecommendAlgorithm(ProfileForQuery(config.query, /*worm=*/false,
+  const auto keys =
+      GenerateKeys(DatasetSpec{Distribution::kRseqShuffled, 100000, 1000, 90});
+  const VectorQueryExecution execution = ExecuteVectorQuery(
+      "auto", AggregateFunction::kCount, keys.data(), nullptr, keys.size(),
+      keys.size(), ExecutionContext{2});
+  EXPECT_EQ(execution.label,
+            RecommendAlgorithm(ProfileForQuery(MakeQ1(), /*worm=*/false,
                                                /*prebuilt_index=*/false,
-                                               config.num_threads)));
-  EXPECT_NE(result.algorithm, kAdaptiveLabel);
-  EXPECT_EQ(result.num_groups, 1000u);
+                                               /*num_threads=*/2)));
+  EXPECT_NE(execution.label, kAdaptiveLabel);
+  EXPECT_EQ(execution.result.size(), 1000u);
 }
 
 TEST(AdaptiveTest, AutoKeepsStaticAdviceForRangeQueries) {
-  ExperimentConfig config;
-  config.query = MakeQ7();  // Range condition: needs ordered iteration.
-  config.dataset = DatasetSpec{Distribution::kRseqShuffled, 50000, 1000, 91};
-  config.algorithm = "auto";
-  const ExperimentResult result = RunExperiment(config);
-  EXPECT_EQ(result.algorithm, "ART");
+  const Query q7 = MakeQ7();  // Range condition: needs ordered iteration.
+  const auto keys =
+      GenerateKeys(DatasetSpec{Distribution::kRseqShuffled, 50000, 1000, 91});
+  const VectorQueryExecution execution = ExecuteVectorQuery(
+      "auto", q7.function, keys.data(), nullptr, keys.size(), keys.size(), {},
+      KeyRange{q7.range_lo, q7.range_hi});
+  EXPECT_EQ(execution.label, "ART");
+  EXPECT_EQ(execution.result,
+            ReferenceVectorAggregate(keys, {}, q7.function, q7.range_lo,
+                                     q7.range_hi));  // ART emits key order.
 }
 
 }  // namespace

@@ -61,7 +61,7 @@ TEST(ContractDeathTest, SerialLabelRejectsMultipleThreads) {
   EXPECT_DEATH(
       MakeVectorAggregator("Hash_LP", AggregateFunction::kCount, 16,
                            /*num_threads=*/4),
-      "MEMAGG_CHECK");
+      "serial label given more than one thread");
 }
 
 TEST(ContractDeathTest, HashLabelRejectsScalarMedian) {

@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "core/query.h"
+#include "data/dataset.h"
+#include "obs/query_stats.h"
+#include "test_util.h"
 
 namespace memagg {
 namespace {
@@ -109,6 +112,21 @@ TEST(EngineTest, ExtraSortLabelsConstruct) {
       }
     }
   }
+}
+
+// ExecuteVectorQuery reads the registry's `parallel` flag: a serial label
+// given a larger thread budget runs on one worker.
+TEST(EngineTest, SerialLabelRunsOnOneWorkerAtAnyThreadBudget) {
+  const auto keys =
+      GenerateKeys(DatasetSpec{Distribution::kZipf, 20000, 500, 61});
+  VectorQueryExecution execution =
+      ExecuteVectorQuery("Hash_LP", AggregateFunction::kCount, keys.data(),
+                         nullptr, keys.size(), keys.size(), /*exec=*/4);
+  EXPECT_EQ(execution.label, "Hash_LP");
+  EXPECT_LE(execution.stats.Get(StatCounter::kWorkersUsed), 1u);
+  SortByKey(execution.result);
+  EXPECT_EQ(execution.result,
+            ReferenceVectorAggregate(keys, {}, AggregateFunction::kCount));
 }
 
 TEST(EngineTest, QueryDescriptorsMatchTable1) {

@@ -66,6 +66,33 @@ TEST_P(RangeAggregation, RangeOfHolisticAggregate) {
 INSTANTIATE_TEST_SUITE_P(Trees, RangeAggregation,
                          ::testing::ValuesIn(TreeLabels()));
 
+// Q7 through the one vector-query path on every registry row: trees and
+// sorts answer with their native range scan, every other operator iterates
+// all groups and filters. Both must equal the filtered reference.
+TEST(RangeQueryTest, EveryLabelAnswersQ7ThroughExecuteVectorQuery) {
+  DatasetSpec spec{Distribution::kRseqShuffled, 20000, 2000, 45};
+  const auto keys = GenerateKeys(spec);
+  const auto values = GenerateValues(keys.size(), 1000, 46);
+  const Query q7 = MakeQ7();
+  for (AggregateFunction fn :
+       {AggregateFunction::kCount, AggregateFunction::kMedian}) {
+    const VectorResult expected = ReferenceVectorAggregate(
+        keys, values, fn, q7.range_lo, q7.range_hi);
+    for (const LabelInfo& info : AllLabels()) {
+      for (const int threads : {1, 4}) {
+        if (threads > 1 && !info.parallel) continue;
+        VectorQueryExecution execution = ExecuteVectorQuery(
+            info.name, fn, keys.data(), values.data(), keys.size(),
+            keys.size(), threads, KeyRange{q7.range_lo, q7.range_hi});
+        SortByKey(execution.result);
+        EXPECT_EQ(execution.result, expected)
+            << info.name << "@" << threads << " "
+            << AggregateFunctionName(fn);
+      }
+    }
+  }
+}
+
 TEST(RangeSupportTest, SortOperatorsSupportRangeToo) {
   const std::vector<uint64_t> keys = {5, 1, 7, 5, 9, 1};
   auto aggregator =

@@ -184,6 +184,24 @@ TEST(TableExecTest, AutoLabelRoutesThroughAdvisor) {
   ExpectMatchesReference(table, parallel, "auto/parallel");
 }
 
+// The advisor's range branch picks the serial ART at any thread budget; the
+// query runs it on one thread and answers as the one-thread run does.
+TEST(TableExecTest, AutoKeyRangeRunsTheSerialTreeAtFourThreads) {
+  const Table table = GenerateLineitem(5000, 7);
+  TableQuery query = Q1Query();
+  query.has_key_range = true;
+  query.key_range_lo = {ColumnType::kString, 0, 0, "N"};
+  query.key_range_hi = {ColumnType::kString, 0, 0, "R"};
+  const TableQueryResult serial = ExecuteTableQuery(table, query, "auto");
+  const TableQueryResult parallel =
+      ExecuteTableQuery(table, query, "auto", /*num_threads=*/4);
+  EXPECT_EQ(serial.label, "ART");
+  EXPECT_EQ(parallel.label, "ART");
+  EXPECT_FALSE(serial.group_keys.empty());
+  EXPECT_EQ(parallel.group_keys, serial.group_keys);
+  EXPECT_EQ(parallel.aggregate_columns, serial.aggregate_columns);
+}
+
 TEST(TableExecTest, AutoLabelSeesKeyWidth) {
   // Holistic aggregate over a narrow key: byte-radix sort. Over a wide key:
   // the advisor flips to the comparison sort.

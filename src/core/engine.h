@@ -65,11 +65,13 @@ const std::vector<std::string>& TreeLabels();
 const std::vector<std::string>& ScalarCapableLabels();
 
 /// Creates a vector-aggregation operator for `label` computing `function`.
-/// `expected_size` pre-sizes hash tables (pass the record count, per the
-/// paper's assumption). `exec` carries the thread budget (an int converts
-/// implicitly): num_threads > 1 selects the concurrent variant of a
-/// parallel label (LabelInfo::parallel). A serial label given more than
-/// one thread aborts here; ExecuteVectorQuery instead runs it on one. All
+/// `expected_size` pre-sizes hash tables: the record count, per the paper's
+/// assumption, or a smaller bound the caller has proved on the number of
+/// groups (the table front-end passes its key codec's); a fixed bucket
+/// array keeps the size it gets here. `exec` carries the thread budget (an
+/// int converts implicitly): num_threads > 1 selects the concurrent variant
+/// of a parallel label (LabelInfo::parallel). A serial label given more
+/// than one thread aborts here; ExecuteVectorQuery instead runs it on one. All
 /// parallel operators run on the shared morsel-driven scheduler (src/exec/)
 /// — no operator spawns threads of its own.
 std::unique_ptr<VectorAggregator> MakeVectorAggregator(
@@ -98,11 +100,18 @@ struct VectorQueryExecution {
 };
 
 /// Runs one vector aggregation end to end and returns the result rows next
-/// to a QueryStats snapshot: build/iterate phase timings measured here, the
-/// operator's own phase splits and structure counters (CollectStats), and —
+/// to a QueryStats snapshot: the setup/build/iterate phases and the wall
+/// time measured here (what they leave out is kUnattributed), the
+/// operator's own subphases and structure counters (CollectStats), and —
 /// for parallel labels — the morsel/worker accounting recorded by the
 /// executor. This is the one vector-query path; GroupByAggregate and
 /// ExecuteTableQuery forward to it.
+///
+/// `expected_size` is the most groups the caller expects, and a ceiling:
+/// the operator is built for it, and the sampled cardinality estimate
+/// that pre-sizes growable tables (ReserveGroups) is clamped to it. Pass
+/// the record count unless a smaller bound is proven; ExecuteTableQuery
+/// passes its key codec's group bound.
 ///
 /// `label` is any registry label, or "auto" for the Figure 12 advisor's
 /// pick from `function`'s category, `range` and the thread budget. A label

@@ -19,6 +19,7 @@
 #ifndef MEMAGG_CORE_PARALLEL_AGGREGATOR_H_
 #define MEMAGG_CORE_PARALLEL_AGGREGATOR_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -287,7 +288,8 @@ class CuckooParallelAggregator final : public VectorAggregator {
   static_assert(ConcurrentGroupMap<CuckooMap<State>, State>);
 
   CuckooParallelAggregator(size_t expected_size, ExecutionContext exec)
-      : VectorAggregator(exec), map_(expected_size) {}
+      : VectorAggregator(exec),
+        map_(std::max(expected_size, kMinExpectedSize)) {}
 
   void ConsumeMorsel(const uint64_t* keys, const uint64_t* values,
                      const Morsel& m) override {
@@ -317,6 +319,13 @@ class CuckooParallelAggregator final : public VectorAggregator {
   }
 
  private:
+  // Every upsert locks the stripes of its key's two buckets, and the
+  // stripe locks are bytes of one array. A table sized for a handful of
+  // groups has a handful of buckets, so all workers would spin on one
+  // cache line of locks; this floor (8192 buckets) spreads a few hot keys'
+  // buckets and stripes over separate lines.
+  static constexpr size_t kMinExpectedSize = size_t{1} << 14;
+
   CuckooMap<State> map_;
 };
 

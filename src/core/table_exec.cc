@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 #include <utility>
 
 #include "core/advisor.h"
@@ -39,18 +38,13 @@ std::vector<uint64_t> FilterRows(const Table& table, const TableQuery& query) {
   return rows;
 }
 
-/// Measure column for one aggregate, gathered through the selected rows
-/// (or the column itself when the whole table runs).
-std::vector<uint64_t> GatherValues(const Table& table,
-                                   const std::string& column,
-                                   const std::vector<uint64_t>* rows) {
-  const std::vector<uint64_t>& source = table.ColumnNamed(column).u64();
-  if (rows == nullptr) return source;
-  std::vector<uint64_t> gathered(rows->size());
-  for (size_t i = 0; i < rows->size(); ++i) {
-    gathered[i] = source[(*rows)[i]];
-  }
-  return gathered;
+/// Overwrites `out` with the selected rows of one measure column. Every
+/// gather of a query has the same length, so the buffer is allocated (and
+/// its pages faulted in) once.
+void GatherRows(const std::vector<uint64_t>& column,
+                const std::vector<uint64_t>& rows, std::vector<uint64_t>& out) {
+  out.resize(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) out[i] = column[rows[i]];
 }
 
 std::string ResolveLabel(const std::string& label, const TableQuery& query,
@@ -70,86 +64,87 @@ std::string DefaultName(const AggregateSpec& spec) {
   return AggregateFunctionName(spec.function) + "(" + spec.column + ")";
 }
 
-/// Runs every aggregate over the shared encoded key column, aligns the
-/// per-aggregate results by key, and emits canonical group order.
+/// Runs every aggregate over the shared encoded key column into `result`,
+/// aligns the per-aggregate runs and emits canonical group order.
 template <TableKeyCodec Codec>
-TableQueryResult RunAggregates(const Table& table, const TableQuery& query,
-                               const Codec& codec,
-                               const std::vector<EncodedKey>& keys,
-                               const std::vector<uint64_t>* rows,
-                               const std::string& label,
-                               const ExecutionContext& exec) {
-  TableQueryResult result;
+void RunAggregates(const Table& table, const TableQuery& query,
+                   const Codec& codec, const std::vector<EncodedKey>& keys,
+                   const std::vector<uint64_t>* rows, size_t max_groups,
+                   const std::string& label, const ExecutionContext& exec,
+                   TableQueryResult& result) {
   result.label = label;
   result.key_width_bits = codec.width_bits();
   result.order_preserving = codec.order_preserving();
   result.rows_scanned = keys.size();
 
-  // Pre-size to the record count, the paper's standing assumption; growable
-  // structures shrink this via their own cardinality estimate.
-  const size_t expected = keys.size();
+  // Size every operator to the most groups the query can produce: the
+  // codec's bound, capped at the rows fed. A query with few groups then
+  // builds and scans a table that fits in cache, not one sized to its rows.
+  // The bound is proven, unlike a sampled estimate, which can undershoot
+  // and leave a fixed bucket array too small for good.
+  const size_t expected = std::min(keys.size(), max_groups);
 
+  // A filtered query gathers each measure column through the selected rows
+  // into one reused buffer; an unfiltered query reads the column in place.
+  std::vector<uint64_t> gathered;
   std::vector<EncodedKey> group_keys;
-  std::unordered_map<EncodedKey, size_t> row_of;
   for (size_t a = 0; a < query.aggregates.size(); ++a) {
     const AggregateSpec& spec = query.aggregates[a];
-    std::vector<uint64_t> values;
-    const uint64_t* values_ptr = nullptr;
+    const uint64_t* values = nullptr;
     if (NeedsValueColumn(spec.function)) {
-      values = GatherValues(table, spec.column, rows);
-      values_ptr = values.data();
+      const std::vector<uint64_t>& column =
+          table.ColumnNamed(spec.column).u64();
+      if (rows == nullptr) {
+        values = column.data();
+      } else {
+        PhaseTimer gather(&result.stats, StatPhase::kGather);
+        GatherRows(column, *rows, gathered);
+        values = gathered.data();
+      }
     }
     VectorQueryExecution run =
-        ExecuteVectorQuery(label, spec.function, keys.data(), values_ptr,
+        ExecuteVectorQuery(label, spec.function, keys.data(), values,
                            keys.size(), expected, exec);
     result.stats.Merge(run.stats);
     result.aggregate_names.push_back(DefaultName(spec));
+
+    // Every run sees the same key column, so sorted by key the runs list
+    // the same groups in the same order; any drift is an operator bug.
+    PhaseTimer align(&result.stats, StatPhase::kAssemble);
+    VectorResult& groups = run.result;
+    if (!std::ranges::is_sorted(groups, {}, &GroupResult::key)) {
+      std::ranges::sort(groups, {}, &GroupResult::key);
+    }
     if (a == 0) {
-      group_keys.reserve(run.result.size());
-      row_of.reserve(run.result.size() * 2);
-      std::vector<double> column(run.result.size());
-      for (size_t g = 0; g < run.result.size(); ++g) {
-        row_of.emplace(run.result[g].key, g);
-        group_keys.push_back(run.result[g].key);
-        column[g] = run.result[g].value;
-      }
-      MEMAGG_CHECK(row_of.size() == run.result.size() &&
+      group_keys.resize(groups.size());
+      std::ranges::transform(groups, group_keys.begin(), &GroupResult::key);
+      MEMAGG_CHECK(std::ranges::adjacent_find(group_keys) == group_keys.end() &&
                    "operator emitted a duplicate group key");
-      result.aggregate_columns.push_back(std::move(column));
-      continue;
     }
-    // Later aggregates see the same key column, so their group sets must
-    // match the first run's exactly; any drift is an operator bug.
-    MEMAGG_CHECK(run.result.size() == group_keys.size() &&
-                 "aggregate runs disagree on the group set");
-    std::vector<double> column(group_keys.size());
-    for (const GroupResult& group : run.result) {
-      const auto it = row_of.find(group.key);
-      MEMAGG_CHECK(it != row_of.end() &&
-                   "aggregate runs disagree on the group set");
-      column[it->second] = group.value;
-    }
+    MEMAGG_CHECK(
+        std::ranges::equal(groups, group_keys, {}, &GroupResult::key) &&
+        "aggregate runs disagree on the group set");
+    std::vector<double> column(groups.size());
+    std::ranges::transform(groups, column.begin(), &GroupResult::value);
     result.aggregate_columns.push_back(std::move(column));
   }
 
   // Canonical output order. An order-preserving codec makes encoded order
-  // the natural multi-column order; otherwise (DictKeyCodec, unsorted
-  // dictionaries) sort by the decoded tuples — distinct keys decode to
-  // distinct tuples, so the order is total either way.
+  // the natural multi-column order, so the key-sorted runs are already in
+  // it; otherwise (DictKeyCodec, unsorted dictionaries) sort by the decoded
+  // tuples — distinct keys decode to distinct tuples, so the order is total.
+  PhaseTimer assemble(&result.stats, StatPhase::kAssemble);
   std::vector<DecodedKey> decoded = DecodeKeyColumn(codec, group_keys);
-  std::vector<size_t> order(group_keys.size());
-  std::iota(order.begin(), order.end(), size_t{0});
   if (codec.order_preserving()) {
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return group_keys[a] < group_keys[b];
-    });
-  } else {
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return std::lexicographical_compare(decoded[a].begin(), decoded[a].end(),
-                                          decoded[b].begin(),
-                                          decoded[b].end());
-    });
+    result.group_keys = std::move(decoded);
+    return;
   }
+  std::vector<size_t> order(decoded.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&decoded](size_t a, size_t b) {
+    return std::lexicographical_compare(decoded[a].begin(), decoded[a].end(),
+                                        decoded[b].begin(), decoded[b].end());
+  });
   result.group_keys.reserve(order.size());
   for (const size_t g : order) {
     result.group_keys.push_back(std::move(decoded[g]));
@@ -161,25 +156,16 @@ TableQueryResult RunAggregates(const Table& table, const TableQuery& query,
     }
     column = std::move(sorted_column);
   }
-  return result;
 }
 
-}  // namespace
-
-FunctionCategory QueryCategory(const TableQuery& query) {
-  FunctionCategory category = FunctionCategory::kDistributive;
-  for (const AggregateSpec& spec : query.aggregates) {
-    const FunctionCategory c = CategoryOf(spec.function);
-    if (c == FunctionCategory::kHolistic) return FunctionCategory::kHolistic;
-    if (c == FunctionCategory::kAlgebraic) category = c;
-  }
-  return category;
-}
-
-TableQueryResult ExecuteTableQuery(const Table& table, const TableQuery& query,
-                                   const std::string& label,
-                                   ExecutionContext exec) {
+/// The body of ExecuteTableQuery; everything it allocates is released
+/// before the caller stops the wall clock.
+TableQueryResult RunTableQuery(const Table& table, const TableQuery& query,
+                               const std::string& label,
+                               const ExecutionContext& exec) {
   ValidateQuery(table, query);
+  TableQueryResult result;
+  PhaseTimer select(&result.stats, StatPhase::kSelect);
 
   std::vector<uint64_t> rows_storage;
   const std::vector<uint64_t>* rows = nullptr;
@@ -210,9 +196,11 @@ TableQueryResult ExecuteTableQuery(const Table& table, const TableQuery& query,
       rows = &rows_storage;
       keys = std::move(kept_keys);
     }
-    const std::string resolved =
-        ResolveLabel(label, query, packed->width_bits(), exec);
-    return RunAggregates(table, query, *packed, keys, rows, resolved, exec);
+    select.Stop();
+    RunAggregates(table, query, *packed, keys, rows, packed->max_groups(),
+                  ResolveLabel(label, query, packed->width_bits(), exec),
+                  exec, result);
+    return result;
   }
 
   // Wide composite: dictionary fallback. Its code space is dense and
@@ -220,10 +208,35 @@ TableQueryResult ExecuteTableQuery(const Table& table, const TableQuery& query,
   MEMAGG_CHECK(!query.has_key_range &&
                "range conditions need an order-preserving key codec");
   const DictKeyCodec codec = DictKeyCodec::Build(table, query.group_by, rows);
-  const std::string resolved =
-      ResolveLabel(label, query, codec.width_bits(), exec);
-  return RunAggregates(table, query, codec, codec.encoded(), rows, resolved,
-                       exec);
+  select.Stop();
+  RunAggregates(table, query, codec, codec.encoded(), rows,
+                codec.num_distinct(),
+                ResolveLabel(label, query, codec.width_bits(), exec), exec,
+                result);
+  return result;
+}
+
+}  // namespace
+
+FunctionCategory QueryCategory(const TableQuery& query) {
+  FunctionCategory category = FunctionCategory::kDistributive;
+  for (const AggregateSpec& spec : query.aggregates) {
+    const FunctionCategory c = CategoryOf(spec.function);
+    if (c == FunctionCategory::kHolistic) return FunctionCategory::kHolistic;
+    if (c == FunctionCategory::kAlgebraic) category = c;
+  }
+  return category;
+}
+
+TableQueryResult ExecuteTableQuery(const Table& table, const TableQuery& query,
+                                   const std::string& label,
+                                   ExecutionContext exec) {
+  CycleTimer wall;
+  wall.Start();
+  TableQueryResult result = RunTableQuery(table, query, label, exec);
+  wall.Stop();
+  result.stats.RecordWall(wall.ElapsedCycles(), wall.ElapsedMillis());
+  return result;
 }
 
 }  // namespace memagg

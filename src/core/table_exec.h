@@ -10,19 +10,33 @@
 //                   {AggregateFunction::kCount, "", "count_order"}};
 //   TableQueryResult r = ExecuteTableQuery(table, q, "Hash_LP");
 //
-// Execution plan:
-//   1. optional row filter (filter_column <= filter_max) selects row ids;
-//   2. the group-by columns are packed into EncodedKeys by a KeyCodec —
-//      PackedKeyCodec when the composite fits 63 bits, DictKeyCodec
-//      otherwise (data/key_codec.h);
-//   3. an optional Q7-style range on the leading key column narrows the
-//      rows via the codec's contiguous encoded range (order-preserving
-//      codecs only — aborts loudly otherwise);
-//   4. one ExecuteVectorQuery per aggregate runs over the shared key
+// Execution plan (the StatPhase each step is timed as in brackets):
+//   1. [select] optional row filter (filter_column <= filter_max) selects
+//      row ids;
+//   2. [select] the group-by columns are packed into EncodedKeys by a
+//      KeyCodec, one key column at a time — PackedKeyCodec when the
+//      composite fits 63 bits, DictKeyCodec otherwise (data/key_codec.h);
+//   3. [select] an optional Q7-style range on the leading key column
+//      narrows the rows via the codec's contiguous encoded range
+//      (order-preserving codecs only — aborts loudly otherwise);
+//   4. [gather] a filtered query gathers each aggregate's measure column
+//      through the selected rows into one reused buffer; an unfiltered one
+//      reads the column in place;
+//   5. one ExecuteVectorQuery per aggregate runs over the shared key
 //      column (families, threading, and the adaptive operator all work
-//      unchanged — they never learn the key was composite);
-//   5. per-aggregate results are aligned by encoded key, sorted into
-//      canonical group order, and decoded back to column values.
+//      unchanged — they never learn the key was composite). Each is sized
+//      to the codec's group bound (PackedKeyCodec::max_groups(), 2 to the
+//      key width, or DictKeyCodec's exact num_distinct()) capped at the
+//      rows fed, instead of to the row count: the bound is proven, so no
+//      operator is sized below its groups;
+//   6. [assemble] each run's result is sorted by encoded key and the runs
+//      are zipped (the first must hold no key twice, the rest must list
+//      the same keys); with an order-preserving codec that order is the
+//      canonical group order, otherwise the groups are sorted by decoded
+//      tuple. Keys are decoded back to column values.
+//
+// The result's QueryStats carries those phases, each run's setup, build and
+// iterate, and the call's wall time; kUnattributed is what they leave out.
 //
 // The label may be "auto": the advisor picks it once per query from the
 // query shape and the codec's key width (core/advisor.h), and every

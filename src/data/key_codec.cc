@@ -141,44 +141,58 @@ std::optional<PackedKeyCodec> PackedKeyCodec::TryBuild(
   return PackedKeyCodec(table, std::move(plans), total_bits);
 }
 
-uint64_t PackedKeyCodec::FieldRaw(const KeyFieldPlan& plan, size_t row) const {
-  const Column& column = table_->ColumnAt(plan.column);
-  switch (plan.type) {
-    case ColumnType::kU64:
-      return column.u64()[row] - plan.bias;
-    case ColumnType::kI64:
-      return OrderedBits(column.i64()[row]) - plan.bias;
-    case ColumnType::kString:
-      return column.codes()[row];
-    case ColumnType::kF64:
-      break;
-  }
-  MEMAGG_CHECK(false);
-  return 0;
+size_t PackedKeyCodec::max_groups() const {
+  return static_cast<size_t>(1ULL << width_bits_);  // < 64 bits (TryBuild).
 }
 
-EncodedKey PackedKeyCodec::EncodeRow(size_t row) const {
-  MEMAGG_CHECK(row < table_->num_rows());
-  EncodedKey key = 0;
+// Column at a time: one pass per field shifts every key left by the field's
+// width and ors in its value, so the column lookup and the type switch run
+// once per field rather than once per field per row.
+template <typename RowOf>
+std::vector<EncodedKey> PackedKeyCodec::Encode(size_t n, RowOf row_of) const {
+  std::vector<EncodedKey> keys(n, 0);
   for (const KeyFieldPlan& plan : plans_) {
-    key = (key << plan.bits) | FieldRaw(plan, row);
+    const Column& column = table_->ColumnAt(plan.column);
+    const auto pack = [&](auto raw_of_row) {
+      for (size_t i = 0; i < n; ++i) {
+        EncodedKey& key = keys[i];
+        key = (key << plan.bits) | raw_of_row(row_of(i));
+      }
+    };
+    switch (plan.type) {
+      case ColumnType::kU64: {
+        const uint64_t* values = column.u64().data();
+        pack([&](size_t row) { return values[row] - plan.bias; });
+        break;
+      }
+      case ColumnType::kI64: {
+        const int64_t* values = column.i64().data();
+        pack([&](size_t row) { return OrderedBits(values[row]) - plan.bias; });
+        break;
+      }
+      case ColumnType::kString: {
+        const uint32_t* codes = column.codes().data();
+        pack([&](size_t row) { return EncodedKey{codes[row]}; });
+        break;
+      }
+      case ColumnType::kF64:
+        MEMAGG_CHECK(false);
+    }
   }
-  return key;
+  return keys;
 }
 
 std::vector<EncodedKey> PackedKeyCodec::EncodeAll() const {
-  std::vector<EncodedKey> keys(table_->num_rows());
-  for (size_t row = 0; row < keys.size(); ++row) keys[row] = EncodeRow(row);
-  return keys;
+  return Encode(table_->num_rows(), [](size_t i) { return i; });
 }
 
 std::vector<EncodedKey> PackedKeyCodec::EncodeRows(
     const std::vector<uint64_t>& row_indices) const {
-  std::vector<EncodedKey> keys(row_indices.size());
-  for (size_t i = 0; i < row_indices.size(); ++i) {
-    keys[i] = EncodeRow(row_indices[i]);
+  for (const uint64_t row : row_indices) {
+    MEMAGG_CHECK(row < table_->num_rows());
   }
-  return keys;
+  return Encode(row_indices.size(),
+                [&row_indices](size_t i) { return row_indices[i]; });
 }
 
 DecodedKey PackedKeyCodec::Decode(EncodedKey key) const {

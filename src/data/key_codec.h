@@ -104,20 +104,22 @@ class PackedKeyCodec {
   size_t num_fields() const { return plans_.size(); }
   int width_bits() const { return width_bits_; }
 
+  /// The most distinct keys the codec can produce, 2^width_bits(): a
+  /// proven bound on any query's group count over this table.
+  size_t max_groups() const;
+
   /// True when numeric EncodedKey order equals lexicographic column order:
   /// always for integer fields, for string fields iff their dictionary is
   /// sorted.
   bool order_preserving() const { return order_preserving_; }
 
-  /// Encodes every table row (or the given subset of row indices).
+  /// Encodes every table row (or the given subset of row indices), one
+  /// key column at a time.
   std::vector<EncodedKey> EncodeAll() const;
   std::vector<EncodedKey> EncodeRows(
       const std::vector<uint64_t>& row_indices) const;
 
-  /// Packs one row.
-  EncodedKey EncodeRow(size_t row) const;
-
-  /// Inverse of EncodeRow: unpacks `key` into per-column values.
+  /// Inverse of encoding: unpacks `key` into per-column values.
   DecodedKey Decode(EncodedKey key) const;
 
   /// The inclusive EncodedKey range covering every key whose LEADING field
@@ -133,7 +135,9 @@ class PackedKeyCodec {
   PackedKeyCodec(const Table& table, std::vector<KeyFieldPlan> plans,
                  int width_bits);
 
-  uint64_t FieldRaw(const KeyFieldPlan& plan, size_t row) const;
+  /// Packs rows row_of(0) .. row_of(n - 1).
+  template <typename RowOf>
+  std::vector<EncodedKey> Encode(size_t n, RowOf row_of) const;
 
   const Table* table_;
   std::vector<KeyFieldPlan> plans_;

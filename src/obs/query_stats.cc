@@ -7,7 +7,8 @@ namespace memagg {
 namespace {
 
 constexpr const char* kPhaseNames[kNumStatPhases] = {
-    "partition", "build", "sort", "iterate", "merge"};
+    "partition", "build",  "sort",     "iterate",  "merge",
+    "setup",     "select", "gather",   "assemble", "unattributed"};
 
 constexpr const char* kCounterNames[kNumStatCounters] = {
     "rows_built",    "groups_out",    "hash_entries",   "rehashes",
@@ -53,6 +54,25 @@ void QueryStats::Merge(const QueryStats& other) {
       counters[c] += other.counters[c];
     }
   }
+  wall_cycles += other.wall_cycles;
+  wall_millis += other.wall_millis;
+}
+
+void QueryStats::RecordWall(uint64_t cycles, double millis) {
+  wall_cycles = cycles;
+  wall_millis = millis;
+  const size_t left = static_cast<size_t>(StatPhase::kUnattributed);
+  uint64_t covered_cycles = 0;
+  double covered_millis = 0.0;
+  for (size_t p = 0; p < kNumStatPhases; ++p) {
+    if (p == left || !IsTopLevelPhase(static_cast<StatPhase>(p))) continue;
+    covered_cycles += phase_cycles[p];
+    covered_millis += phase_millis[p];
+  }
+  // The phases are disjoint intervals inside the wall on one thread, so
+  // they never exceed it; the clamps only absorb rounding.
+  phase_cycles[left] = cycles > covered_cycles ? cycles - covered_cycles : 0;
+  phase_millis[left] = std::max(0.0, millis - covered_millis);
 }
 
 std::string QueryStats::ToJson() const {
@@ -77,7 +97,14 @@ std::string QueryStats::ToJson() const {
     out += buffer;
     first = false;
   }
-  out += "}}";
+  out += "}";
+  if (wall_cycles != 0) {
+    std::snprintf(buffer, sizeof(buffer),
+                  ",\"wall\":{\"cycles\":%" PRIu64 ",\"millis\":%.3f}",
+                  wall_cycles, wall_millis);
+    out += buffer;
+  }
+  out += "}";
   return out;
 }
 

@@ -1,7 +1,8 @@
 // Query-execution observability (the measurement substrate for perf work).
 //
 // QueryStats is a flat snapshot of one query's execution: per-phase timings
-// (partition/build/sort/iterate/merge) plus monotonic counters reported by
+// (an entry call's top-level phases, which sum to its wall time, and the
+// operators' subphases; see StatPhase) plus monotonic counters reported by
 // the operators and the morsel executor (rehashes, probe distances, cuckoo
 // kicks, strategy switches, morsels claimed, merge rounds, ...). StatsRegistry
 // holds one cache-line-padded QueryStats shard per worker slot so parallel
@@ -13,7 +14,8 @@
 // (probe distances). Phase timers are two clock reads per phase. Building
 // with -DMEMAGG_DISABLE_STATS (cmake -DMEMAGG_STATS=OFF) compiles even
 // those residues out: StatsConfig::kEnabled folds every recording helper to
-// a no-op.
+// a no-op. Only the bench contract stays live: the build and iterate clocks
+// and the entry calls' wall, so kUnattributed then holds everything else.
 
 #ifndef MEMAGG_OBS_QUERY_STATS_H_
 #define MEMAGG_OBS_QUERY_STATS_H_
@@ -38,21 +40,35 @@ struct StatsConfig {
 #endif
 };
 
-/// Execution phases. kBuild and kIterate are the end-to-end operator phases
-/// (recorded by the caller — ExecuteVectorQuery or a bench harness); the
-/// others are operator-internal attribution *inside* those phases, recorded
-/// by the operator itself (a radix build's partitioning passes, a sort
-/// operator's sort kernel, a local-partition iterate's merge). Subphase
-/// time is therefore contained in — not additive with — its enclosing
-/// phase, and TotalCycles()/TotalMillis() sum only kBuild + kIterate.
+/// Execution phases. The top-level phases partition an entry call's wall
+/// time (ExecuteVectorQuery, ExecuteTableQuery): each is timed by the call
+/// itself, they never overlap, and kUnattributed is what is left of the
+/// wall, so they sum to QueryStats::wall_cycles. The subphases (kPartition,
+/// kSort, kMerge) are operator-internal attribution recorded by the operator
+/// itself inside build or iterate (a sort operator's sort kernel, a
+/// partitioned iterate's merge): their time is contained in — not additive
+/// with — the enclosing top-level phase.
 enum class StatPhase : size_t {
   kPartition = 0,  ///< Subphase: a partitioning pass over the input.
-  kBuild,          ///< Phase: consuming input into the data structure.
+  kBuild,          ///< Top level: consuming input into the data structure.
   kSort,           ///< Subphase: the sort kernel.
-  kIterate,        ///< Phase: emitting result rows.
+  kIterate,        ///< Top level: emitting result rows.
   kMerge,          ///< Subphase: combining per-worker partial states.
+  kSetup,          ///< Top level: operator factory, cardinality estimate and
+                   ///< ReserveGroups.
+  kSelect,         ///< Top level, table queries: row filter, key encoding and
+                   ///< key range.
+  kGather,         ///< Top level, table queries: measure-column gathers.
+  kAssemble,       ///< Top level, table queries: aligning the per-aggregate
+                   ///< runs, decoding keys and ordering groups.
+  kUnattributed,   ///< Top level: wall time no other top-level phase covers.
 };
-inline constexpr size_t kNumStatPhases = 5;
+inline constexpr size_t kNumStatPhases = 10;
+
+constexpr bool IsTopLevelPhase(StatPhase phase) {
+  return phase != StatPhase::kPartition && phase != StatPhase::kSort &&
+         phase != StatPhase::kMerge;
+}
 
 /// Monotonic counters. kMaxMerged counters merge by max, the rest by sum.
 enum class StatCounter : size_t {
@@ -94,6 +110,10 @@ struct QueryStats {
   uint64_t phase_cycles[kNumStatPhases] = {};
   double phase_millis[kNumStatPhases] = {};
   uint64_t counters[kNumStatCounters] = {};
+  /// The entry call's own clock around the whole call (RecordWall); 0 when
+  /// the stats come from a caller that times build and iterate itself.
+  uint64_t wall_cycles = 0;
+  double wall_millis = 0.0;
 
   void AddPhase(StatPhase phase, uint64_t cycles, double millis) {
     phase_cycles[static_cast<size_t>(phase)] += cycles;
@@ -122,8 +142,10 @@ struct QueryStats {
     return phase_millis[static_cast<size_t>(phase)];
   }
 
-  /// End-to-end query time: build + iterate (subphases overlap those two
-  /// and are excluded — see StatPhase).
+  /// Operator time: build + iterate, the query execution time the paper's
+  /// figures report. It leaves out set-up, the table front-end and
+  /// unattributed time (wall_cycles holds those too) and the subphases,
+  /// which lie inside build and iterate (see StatPhase).
   uint64_t TotalCycles() const {
     return PhaseCycles(StatPhase::kBuild) + PhaseCycles(StatPhase::kIterate);
   }
@@ -132,11 +154,19 @@ struct QueryStats {
     return PhaseMillis(StatPhase::kBuild) + PhaseMillis(StatPhase::kIterate);
   }
 
+  /// Sets the wall time to an entry call's own clock and kUnattributed to
+  /// the part of it the other top-level phases do not cover, so the
+  /// top-level phases sum to the wall. Replaces the wall and kUnattributed
+  /// of nested entry calls whose stats were merged in: the outer clock
+  /// covers them.
+  void RecordWall(uint64_t cycles, double millis);
+
   /// Folds `other` into this snapshot (sums, max for max-merged counters).
   void Merge(const QueryStats& other);
 
-  /// Serializes the non-zero phases and counters as one JSON object, e.g.
-  /// {"phases":{"build":{"cycles":12,"millis":0.5}},"counters":{...}}.
+  /// Serializes the non-zero phases and counters, and the wall when one was
+  /// recorded, as one JSON object, e.g. {"phases":{"build":{"cycles":12,
+  /// "millis":0.5}},"counters":{...},"wall":{"cycles":20,"millis":0.8}}.
   std::string ToJson() const;
 };
 

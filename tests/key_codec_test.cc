@@ -51,10 +51,13 @@ TEST(PackedKeyCodecTest, RoundTripsAndPreservesOrder) {
   ASSERT_TRUE(codec.has_value());
   EXPECT_EQ(codec->num_fields(), 2u);
   EXPECT_EQ(codec->width_bits(), 4);
+  EXPECT_EQ(codec->max_groups(), 16u);  // 2^4, though 4 tuples occur.
   EXPECT_TRUE(codec->order_preserving());
 
   const std::vector<EncodedKey> keys = codec->EncodeAll();
   ASSERT_EQ(keys.size(), table.num_rows());
+  EXPECT_EQ(codec->EncodeRows({3, 1, 4}),
+            (std::vector<EncodedKey>{keys[3], keys[1], keys[4]}));
   // Rows 0 and 3 share ("A", 10): identical keys; all other pairs differ.
   EXPECT_EQ(keys[0], keys[3]);
   EXPECT_NE(keys[0], keys[1]);

@@ -13,7 +13,9 @@
 
 #include "core/adaptive_aggregator.h"
 #include "core/engine.h"
+#include "core/table_exec.h"
 #include "data/dataset.h"
+#include "data/lineitem.h"
 #include "exec/executor.h"
 #include "test_util.h"
 
@@ -110,6 +112,25 @@ TEST(QueryStatsDeathTest, RegistryRejectsOutOfRangeWorkerIds) {
   EXPECT_DEATH(registry.WorkerShard(-1), "MEMAGG_CHECK");
 }
 
+TEST(QueryStatsTest, RecordWallLeavesTheRestUnattributed) {
+  // A nested call's stats are merged first: its wall and unattributed time
+  // are replaced by the outer clock, which covers them.
+  QueryStats nested;
+  nested.AddPhase(StatPhase::kBuild, 100, 1.0);
+  nested.AddPhase(StatPhase::kSort, 60, 0.6);
+  nested.RecordWall(130, 1.3);
+  EXPECT_EQ(nested.PhaseCycles(StatPhase::kUnattributed), 30u);
+  QueryStats outer;
+  outer.AddPhase(StatPhase::kSelect, 20, 0.2);
+  outer.Merge(nested);
+  outer.RecordWall(200, 2.0);
+  EXPECT_EQ(outer.wall_cycles, 200u);
+  EXPECT_EQ(outer.PhaseCycles(StatPhase::kUnattributed), 80u);
+  EXPECT_NEAR(outer.PhaseMillis(StatPhase::kUnattributed), 0.8, 1e-9);
+  // Subphases lie inside build and count towards nothing.
+  EXPECT_EQ(outer.TotalCycles(), 100u);
+}
+
 TEST(QueryStatsTest, ToJsonEmitsOnlyNonZeroFields) {
   QueryStats stats;
   stats.AddPhase(StatPhase::kBuild, 123, 0.5);
@@ -189,6 +210,66 @@ TEST(QueryStatsEndToEndTest, EveryOperatorReportsPhasesAndCounters) {
       EXPECT_LE(stats.Get(StatCounter::kWorkersUsed),
                 static_cast<uint64_t>(c.threads));
     }
+  }
+}
+
+/// Checks that an entry call's stats account for its wall time: every
+/// phase is non-negative and within the wall, and the top-level phases,
+/// kUnattributed included, sum to it. `outer` is the caller's clock around
+/// the call, which contains the call's own.
+void ExpectWallAccounted(const QueryStats& stats, const CycleTimer& outer) {
+  ASSERT_GT(stats.wall_cycles, 0u);
+  EXPECT_LE(stats.wall_cycles, outer.ElapsedCycles());
+  EXPECT_LE(stats.wall_millis, outer.ElapsedMillis());
+  uint64_t cycles = 0;
+  double millis = 0.0;
+  for (size_t p = 0; p < kNumStatPhases; ++p) {
+    const auto phase = static_cast<StatPhase>(p);
+    EXPECT_GE(stats.PhaseMillis(phase), 0.0) << StatPhaseName(phase);
+    EXPECT_LE(stats.PhaseCycles(phase), stats.wall_cycles)
+        << StatPhaseName(phase);
+    if (!IsTopLevelPhase(phase)) continue;
+    cycles += stats.PhaseCycles(phase);
+    millis += stats.PhaseMillis(phase);
+  }
+  EXPECT_EQ(cycles, stats.wall_cycles);
+  EXPECT_NEAR(millis, stats.wall_millis, 1e-6);
+}
+
+TEST(QueryStatsEndToEndTest, VectorQueryPhasesSumToItsWall) {
+  if (!StatsConfig::kEnabled) GTEST_SKIP() << "stats compiled out";
+  DatasetSpec spec{Distribution::kZipf, 50000, 1000, 138};
+  const auto keys = GenerateKeys(spec);
+  CycleTimer outer;
+  outer.Start();
+  const auto execution =
+      ExecuteVectorQuery("Hash_LP", AggregateFunction::kCount, keys.data(),
+                         nullptr, keys.size(), keys.size());
+  outer.Stop();
+  ExpectWallAccounted(execution.stats, outer);
+  EXPECT_GT(execution.stats.PhaseCycles(StatPhase::kSetup), 0u);
+  EXPECT_EQ(execution.stats.PhaseCycles(StatPhase::kSelect), 0u);
+}
+
+TEST(QueryStatsEndToEndTest, TableQueryPhasesSumToItsWall) {
+  if (!StatsConfig::kEnabled) GTEST_SKIP() << "stats compiled out";
+  const Table table = GenerateLineitem(50000, 9);
+  TableQuery q1;
+  q1.group_by = {"l_returnflag", "l_linestatus"};
+  q1.aggregates = {{AggregateFunction::kSum, "l_quantity", "sum_qty"},
+                   {AggregateFunction::kSum, "l_extendedprice", "sum_price"},
+                   {AggregateFunction::kCount, "", "count_order"}};
+  q1.has_filter = true;
+  q1.filter_column = "l_shipdate";
+  q1.filter_max = kLineitemQ1ShipdateCutoff;
+  CycleTimer outer;
+  outer.Start();
+  const TableQueryResult result = ExecuteTableQuery(table, q1, "Hash_LP");
+  outer.Stop();
+  ExpectWallAccounted(result.stats, outer);
+  for (const StatPhase phase : {StatPhase::kSelect, StatPhase::kGather,
+                                StatPhase::kAssemble, StatPhase::kSetup}) {
+    EXPECT_GT(result.stats.PhaseCycles(phase), 0u) << StatPhaseName(phase);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/concepts.h"
@@ -16,6 +17,8 @@
 #include "data/lineitem.h"
 #include "data/table.h"
 #include "obs/query_stats.h"
+#include "test_util.h"
+#include "util/rng.h"
 
 namespace memagg {
 namespace {
@@ -227,6 +230,183 @@ TEST(TableExecTest, StatsAccumulateAcrossAggregates) {
   EXPECT_EQ(result.stats.Get(StatCounter::kRowsBuilt),
             4 * result.rows_scanned);
   EXPECT_GT(result.stats.TotalCycles(), 0u);
+}
+
+// Q1's key packs into 3 bits (2 for 3 return flags, 1 for 2 line
+// statuses), so each of its four Hash_LP runs gets a table for 8 groups,
+// not one for the ~190k rows fed.
+TEST(TableExecTest, Q1SizesEachOperatorToTheCodecGroupBound) {
+  const Table table = GenerateLineitem(200000, 10);
+  const TableQueryResult result =
+      ExecuteTableQuery(table, Q1Query(), "Hash_LP");
+  ExpectMatchesReference(table, result, "Hash_LP");
+  if (StatsConfig::kEnabled) {
+    EXPECT_LT(result.stats.Get(StatCounter::kArenaBytesReserved),
+              uint64_t{64} * 1024);
+  }
+}
+
+KeyFieldValue FieldAt(const Column& column, size_t row) {
+  KeyFieldValue field;
+  field.type = column.type();
+  if (column.type() == ColumnType::kString) {
+    field.text = column.dict().String(column.codes()[row]);
+  } else {
+    field.u64 = column.u64()[row];
+  }
+  return field;
+}
+
+/// Engine-free answer to a query over u64/string key columns: the groups in
+/// canonical (tuple) order and, per aggregate, their values.
+struct TableReference {
+  std::vector<DecodedKey> group_keys;
+  std::vector<VectorResult> columns;
+};
+
+TableReference ReferenceFor(const Table& table, const TableQuery& query) {
+  std::vector<size_t> rows;
+  std::map<DecodedKey, uint64_t> rank_of;
+  std::vector<DecodedKey> row_keys;
+  for (size_t row = 0; row < table.num_rows(); ++row) {
+    if (query.has_filter &&
+        table.ColumnNamed(query.filter_column).u64()[row] > query.filter_max) {
+      continue;
+    }
+    DecodedKey key;
+    for (const std::string& name : query.group_by) {
+      key.push_back(FieldAt(table.ColumnNamed(name), row));
+    }
+    rank_of[key] = 0;
+    rows.push_back(row);
+    row_keys.push_back(std::move(key));
+  }
+  TableReference ref;
+  for (auto& [key, rank] : rank_of) {
+    rank = ref.group_keys.size();
+    ref.group_keys.push_back(key);
+  }
+  // Ranking the tuples makes ReferenceVectorAggregate list the groups in
+  // canonical order.
+  std::vector<uint64_t> ranks;
+  for (const DecodedKey& key : row_keys) ranks.push_back(rank_of.at(key));
+  for (const AggregateSpec& spec : query.aggregates) {
+    std::vector<uint64_t> values;
+    if (NeedsValueColumn(spec.function)) {
+      for (const size_t row : rows) {
+        values.push_back(table.ColumnNamed(spec.column).u64()[row]);
+      }
+    }
+    ref.columns.push_back(ReferenceVectorAggregate(ranks, values,
+                                                   spec.function));
+  }
+  return ref;
+}
+
+/// Groups (flag, bucket) that take every one of the codec's 2^(2 + 3) key
+/// values, so the group bound the operators are sized to is exact.
+TableQuery BoundFillingQuery(Table& table) {
+  StringDict dict;
+  const std::vector<uint32_t> codes = {dict.Intern("A"), dict.Intern("N"),
+                                       dict.Intern("O"), dict.Intern("R")};
+  std::vector<uint32_t> flags;
+  std::vector<uint64_t> buckets;
+  std::vector<uint64_t> values;
+  Rng rng(Rng::kDefaultSeed + 21);
+  for (int i = 0; i < 600; ++i) {
+    flags.push_back(codes[rng.NextBounded(4)]);
+    buckets.push_back(10 + rng.NextBounded(8));
+    values.push_back(rng.NextBounded(1000));
+  }
+  // Every combination at least once.
+  for (const uint32_t flag : codes) {
+    for (uint64_t bucket = 10; bucket < 18; ++bucket) {
+      flags.push_back(flag);
+      buckets.push_back(bucket);
+      values.push_back(rng.NextBounded(1000));
+    }
+  }
+  table.AddColumn("flag", Column::String(std::move(dict), std::move(flags)));
+  table.AddColumn("bucket", Column::U64(std::move(buckets)));
+  table.AddColumn("v", Column::U64(std::move(values)));
+  TableQuery query;
+  query.group_by = {"flag", "bucket"};
+  query.aggregates = {{AggregateFunction::kCount, "", "n"},
+                      {AggregateFunction::kSum, "v", "sum_v"},
+                      {AggregateFunction::kMin, "v", "min_v"},
+                      {AggregateFunction::kMedian, "v", "median_v"}};
+  return query;
+}
+
+/// Two wide u64 key columns: their bound (2^(25 + 31) keys) is far above
+/// the 9 groups, so the operators are sized to the rows fed. Filtered, so
+/// the measure columns are gathered.
+TableQuery SparseWideKeyQuery(Table& table) {
+  std::vector<uint64_t> a_values;
+  std::vector<uint64_t> b_values;
+  std::vector<uint64_t> v_values;
+  std::vector<uint64_t> w_values;
+  std::vector<uint64_t> f_values;
+  const uint64_t a_keys[] = {0, uint64_t{1} << 24, (uint64_t{1} << 24) - 7};
+  const uint64_t b_keys[] = {5, 5 + (uint64_t{1} << 30), 1000};
+  Rng rng(Rng::kDefaultSeed + 22);
+  for (int i = 0; i < 5000; ++i) {
+    a_values.push_back(a_keys[rng.NextBounded(3)]);
+    b_values.push_back(b_keys[rng.NextBounded(3)]);
+    v_values.push_back(rng.NextBounded(100000));
+    w_values.push_back(rng.NextBounded(20));
+    f_values.push_back(rng.NextBounded(100));
+  }
+  table.AddColumn("a", Column::U64(std::move(a_values)));
+  table.AddColumn("b", Column::U64(std::move(b_values)));
+  table.AddColumn("v", Column::U64(std::move(v_values)));
+  table.AddColumn("w", Column::U64(std::move(w_values)));
+  table.AddColumn("f", Column::U64(std::move(f_values)));
+  TableQuery query;
+  query.group_by = {"a", "b"};
+  query.aggregates = {{AggregateFunction::kMax, "v", "max_v"},
+                      {AggregateFunction::kAverage, "w", "avg_w"},
+                      {AggregateFunction::kMode, "w", "mode_w"},
+                      {AggregateFunction::kSum, "v", "sum_v"}};
+  query.has_filter = true;
+  query.filter_column = "f";
+  query.filter_max = 79;
+  return query;
+}
+
+TEST(TableExecTest, EveryLabelMatchesTheReferenceWhenSizedToTheGroupBound) {
+  Table filling;
+  const TableQuery filling_query = BoundFillingQuery(filling);
+  Table sparse;
+  const TableQuery sparse_query = SparseWideKeyQuery(sparse);
+  const std::pair<const Table*, const TableQuery*> cases[] = {
+      {&filling, &filling_query}, {&sparse, &sparse_query}};
+  for (const auto& [table, query] : cases) {
+    const TableReference ref = ReferenceFor(*table, *query);
+    ASSERT_EQ(ref.group_keys.size(), query == &filling_query ? 32u : 9u);
+    const size_t bound =
+        PackedKeyCodec::TryBuild(*table, query->group_by)->max_groups();
+    ASSERT_EQ(bound, query == &filling_query ? size_t{32} : size_t{1} << 56);
+    for (const LabelInfo& info : AllLabels()) {
+      for (const int threads : {1, 4}) {
+        if (threads > 1 && !info.parallel) continue;
+        const std::string context = std::string(info.name) + "@" +
+                                    std::to_string(threads) + " " +
+                                    query->group_by[0];
+        const TableQueryResult result =
+            ExecuteTableQuery(*table, *query, info.name, threads);
+        ASSERT_EQ(result.group_keys, ref.group_keys) << context;
+        for (size_t a = 0; a < query->aggregates.size(); ++a) {
+          ASSERT_EQ(result.aggregate_columns[a].size(), ref.columns[a].size())
+              << context;
+          for (size_t g = 0; g < ref.columns[a].size(); ++g) {
+            EXPECT_EQ(result.aggregate_columns[a][g], ref.columns[a][g].value)
+                << context << " aggregate " << a << " group " << g;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(TableExecDeathTest, RangeOverDictCodecAborts) {

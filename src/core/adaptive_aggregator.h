@@ -176,17 +176,13 @@ class AdaptiveAggregator final : public VectorAggregator {
   using State = typename Aggregate::State;
   using Partial = PartialAggState<Aggregate>;
 
-  /// Holistic aggregates buffer every value per group (the FinalizeRun
-  /// probe) — their resident entries are fat, which the cost models must
-  /// know.
-  static constexpr bool kHolistic =
-      requires(uint64_t* v, size_t c) { Aggregate::FinalizeRun(v, c); };
-
   /// Tables are sized from the key sample inside Build, not from
-  /// `expected_size`.
+  /// `expected_size`. Every strategy it starts holds a copy of `aggregate`.
   AdaptiveAggregator(size_t /*expected_size*/, ExecutionContext exec,
-                     AdaptiveOptions options = {})
-      : VectorAggregator(exec), opt_(options) {
+                     AdaptiveOptions options = {}, Aggregate aggregate = {})
+      : VectorAggregator(exec),
+        opt_(options),
+        aggregate_(std::move(aggregate)) {
     if (opt_.l3_bytes == 0) opt_.l3_bytes = DetectedL3CacheBytes();
     // Calibration aid (docs/adaptive.md): log every barrier decision.
     debug_ = std::getenv("MEMAGG_ADAPTIVE_DEBUG") != nullptr;
@@ -322,28 +318,30 @@ class AdaptiveAggregator final : public VectorAggregator {
       case AggStrategy::kSerialHash:
         MEMAGG_CHECK(workers == 1);
         op_ = std::make_unique<
-            HashVectorAggregator<LinearProbingMap, Aggregate>>(expected_groups);
+            HashVectorAggregator<LinearProbingMap, Aggregate>>(
+            expected_groups, aggregate_);
         break;
       case AggStrategy::kLocalCentral:
       case AggStrategy::kLocalTree:
         op_ = std::make_unique<LocalPartitionAggregator<Aggregate>>(
-            expected_groups, exec(),
+            expected_groups, exec(), aggregate_,
             strategy == AggStrategy::kLocalTree ? LocalMergeMode::kTree
                                                 : LocalMergeMode::kCentral);
         break;
       case AggStrategy::kRadix:
         op_ = std::make_unique<RadixPartitionAggregator<Aggregate>>(
-            expected_groups, exec());
+            expected_groups, exec(), aggregate_);
         break;
       case AggStrategy::kSharedMap:
         op_ = std::make_unique<StripedParallelAggregator<Aggregate>>(
-            expected_groups, exec());
+            expected_groups, exec(), aggregate_);
         break;
       case AggStrategy::kSort: {
         BlockIndirectSorter sorter;
         sorter.num_threads = exec().num_threads;
         op_ = std::make_unique<
-            SortVectorAggregator<BlockIndirectSorter, Aggregate>>(sorter);
+            SortVectorAggregator<BlockIndirectSorter, Aggregate>>(sorter,
+                                                                  aggregate_);
         break;
       }
     }
@@ -402,8 +400,9 @@ class AdaptiveAggregator final : public VectorAggregator {
     in.skew = sample.top_frac;
     in.workers = workers;
     in.l3_bytes = static_cast<double>(opt_.l3_bytes);
-    in.entry_bytes = static_cast<double>(sizeof(State)) + 16.0 +
-                     (kHolistic ? 8.0 * in.rows_total / est_groups : 0.0);
+    in.entry_bytes =
+        static_cast<double>(sizeof(State)) + 16.0 +
+        (BuffersValues() ? 8.0 * in.rows_total / est_groups : 0.0);
 
     AggStrategy best =
         opt_.rotate
@@ -464,6 +463,20 @@ class AdaptiveAggregator final : public VectorAggregator {
     trace_ += std::to_string(moved);
   }
 
+  /// True if the aggregate keeps a group's values (or row ids) until
+  /// Finalize — the holistic policies, whose FinalizeRun evaluates a
+  /// buffered run, and a composite with a holistic member — so its resident
+  /// entries are fat, which the cost models must know.
+  bool BuffersValues() const {
+    if constexpr (requires { aggregate_.buffers_rows(); }) {
+      return aggregate_.buffers_rows();
+    } else {
+      return requires(uint64_t* values, size_t count) {
+        aggregate_.FinalizeRun(values, count);
+      };
+    }
+  }
+
   AdaptiveOptions opt_;
   size_t reserve_hint_ = 0;
   std::unique_ptr<MigratableAggregator<Aggregate>> op_;  ///< Current strategy.
@@ -471,6 +484,7 @@ class AdaptiveAggregator final : public VectorAggregator {
   bool debug_ = false;        ///< MEMAGG_ADAPTIVE_DEBUG decision logging.
   std::string trace_;
   QueryStats stats_;  ///< Switch accounting (merged in CollectStats).
+  [[no_unique_address]] Aggregate aggregate_;
 };
 
 }  // namespace memagg

@@ -10,9 +10,14 @@
 //     hash/tree operators must buffer all values per group and sort-based
 //     operators aggregate over contiguous runs.
 //
-// Each aggregate is a policy struct with a per-group State, an Update step
-// applied during the build phase, and a Finalize step applied during the
-// iterate phase. The aggregation operators are templated on these policies.
+// Each aggregate is a policy with a per-group State, an Update step applied
+// during the build phase, and a Finalize step applied during the iterate
+// phase. The aggregation operators are templated on these policies and hold
+// one by value, calling every step through it: the seven policies below are
+// empty, so they are [[no_unique_address]] members whose static steps
+// compile to the same code as a call through the type, while a runtime
+// policy — CompositeAggregate (core/composite_aggregate.h), which folds all
+// of a query's aggregates in one pass — carries its members and columns.
 
 #ifndef MEMAGG_CORE_AGGREGATE_H_
 #define MEMAGG_CORE_AGGREGATE_H_

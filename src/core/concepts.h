@@ -19,8 +19,9 @@
 //   concurrent group table       ConcurrentGroupMap      CuckooMap,
 //                                                        StripedMap,
 //                                                        ConcurrentChainingMap
-//   aggregate function policy    AggregatePolicy         core/aggregate.h +
-//                                  (+ Mergeable...)      the Concurrent*
+//   aggregate function policy    AggregatePolicy         core/aggregate.h,
+//                                  (+ Mergeable...)      CompositeAggregate,
+//                                                        the Concurrent*
 //                                                        policies
 //   sort kernel functor          Sorter / ParallelSorter core/sorters.h
 //   allocation strategy          AllocatorPolicy         mem/allocator.h
@@ -143,21 +144,24 @@ concept ConcurrentGroupMap =
 
 // --- Aggregate function policies --------------------------------------------
 
-/// Aggregate-function policy role (core/aggregate.h): a default-initializable
+/// Aggregate-function policy role (core/aggregate.h): a copyable policy
+/// value that operators hold and call through, a default-initializable
 /// per-group State, an Update step folding one record into it, a Finalize
 /// step producing the output value, and the kNeedsValues flag that lets
-/// COUNT(*) skip the value column entirely.
+/// COUNT(*) skip the value column entirely. The steps are const: workers
+/// share one policy while they update their states concurrently.
 ///
 /// Note: the *runtime* identifier for an aggregate is the AggregateFunction
 /// enum (core/aggregate.h); this concept is the compile-time policy those
 /// enum values dispatch to.
 template <typename A>
 concept AggregatePolicy =
+    std::copy_constructible<A> &&
     std::default_initializable<typename A::State> &&
-    requires(typename A::State& state, uint64_t value) {
+    requires(const A& policy, typename A::State& state, uint64_t value) {
       { A::kNeedsValues } -> std::convertible_to<bool>;
-      A::Update(state, value);
-      { A::Finalize(state) } -> std::convertible_to<double>;
+      policy.Update(state, value);
+      { policy.Finalize(state) } -> std::convertible_to<double>;
     };
 
 /// Aggregates usable by partitioned operators, which must combine partial
@@ -166,8 +170,9 @@ concept AggregatePolicy =
 template <typename A>
 concept MergeableAggregatePolicy =
     AggregatePolicy<A> &&
-    requires(typename A::State& into, typename A::State& from) {
-      A::Merge(into, from);
+    requires(const A& policy, typename A::State& into,
+             typename A::State& from) {
+      policy.Merge(into, from);
     };
 
 // --- Sort kernels -----------------------------------------------------------

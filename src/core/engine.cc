@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/advisor.h"
+#include "core/composite_aggregate.h"
 #include "core/label_registry.h"
 #include "mem/worker_arenas.h"
 #include "util/macros.h"
@@ -74,13 +75,24 @@ const std::vector<std::string>& ScalarCapableLabels() {
   return labels;
 }
 
-std::unique_ptr<VectorAggregator> MakeVectorAggregator(
-    const std::string& label, AggregateFunction function, size_t expected_size,
-    const ExecutionContext& exec) {
+namespace {
+
+/// `label`'s row, once the thread rule holds.
+const LabelRow& OperatorRow(const std::string& label,
+                            const ExecutionContext& exec) {
   const LabelRow& row = EngineRow(label);
   MEMAGG_CHECK((row.info.parallel || exec.num_threads == 1) &&
                "serial label given more than one thread");
-  return row.make[static_cast<size_t>(function)](expected_size, exec);
+  return row;
+}
+
+}  // namespace
+
+std::unique_ptr<VectorAggregator> MakeVectorAggregator(
+    const std::string& label, AggregateFunction function, size_t expected_size,
+    const ExecutionContext& exec) {
+  return OperatorRow(label, exec).make[static_cast<size_t>(function)](
+      expected_size, exec);
 }
 
 std::unique_ptr<ScalarAggregator> MakeScalarMedianAggregator(
@@ -96,11 +108,14 @@ std::unique_ptr<ScalarAggregator> MakeScalarMedianAggregator(
 
 namespace {
 
-/// The body of ExecuteVectorQuery; the operator and the query-local
-/// registry and arenas are torn down before the caller stops the wall clock.
+/// The body of ExecuteVectorQuery and ExecuteCompositeQuery, over the
+/// operator `make(label, expected_size, exec)` builds; `category` resolves
+/// "auto". The operator and the query-local registry and arenas are torn
+/// down before the caller stops the wall clock.
+template <typename MakeOperator>
 VectorQueryExecution RunVectorQuery(const std::string& label,
-                                    AggregateFunction function,
-                                    const uint64_t* keys,
+                                    FunctionCategory category,
+                                    MakeOperator make, const uint64_t* keys,
                                     const uint64_t* values, size_t n,
                                     size_t expected_size, ExecutionContext exec,
                                     std::optional<KeyRange> range) {
@@ -108,7 +123,7 @@ VectorQueryExecution RunVectorQuery(const std::string& label,
   execution.label = label;
   if (label == "auto") {
     WorkloadProfile profile;
-    profile.category = CategoryOf(function);
+    profile.category = category;
     profile.has_range_condition = range.has_value();
     profile.num_threads = exec.num_threads;
     execution.label = RecommendAlgorithm(profile);
@@ -128,8 +143,7 @@ VectorQueryExecution RunVectorQuery(const std::string& label,
   std::unique_ptr<VectorAggregator> aggregator;
   {
     PhaseTimer setup(&execution.stats, StatPhase::kSetup);
-    aggregator =
-        MakeVectorAggregator(execution.label, function, expected_size, exec);
+    aggregator = make(execution.label, expected_size, exec);
     // Pre-size growable tables from a sampled cardinality estimate, never
     // past the caller's hint: the hint may be a proven bound on the groups.
     aggregator->ReserveGroups(
@@ -177,6 +191,17 @@ VectorQueryExecution RunVectorQuery(const std::string& label,
   return execution;
 }
 
+/// Runs `run` and records its wall time as the execution's.
+template <typename Run>
+VectorQueryExecution TimedQuery(Run run) {
+  CycleTimer wall;
+  wall.Start();
+  VectorQueryExecution execution = run();
+  wall.Stop();
+  execution.stats.RecordWall(wall.ElapsedCycles(), wall.ElapsedMillis());
+  return execution;
+}
+
 }  // namespace
 
 VectorQueryExecution ExecuteVectorQuery(const std::string& label,
@@ -186,13 +211,31 @@ VectorQueryExecution ExecuteVectorQuery(const std::string& label,
                                         size_t expected_size,
                                         ExecutionContext exec,
                                         std::optional<KeyRange> range) {
-  CycleTimer wall;
-  wall.Start();
-  VectorQueryExecution execution = RunVectorQuery(
-      label, function, keys, values, n, expected_size, exec, range);
-  wall.Stop();
-  execution.stats.RecordWall(wall.ElapsedCycles(), wall.ElapsedMillis());
-  return execution;
+  const auto make = [function](const std::string& resolved, size_t expected,
+                               const ExecutionContext& context) {
+    return MakeVectorAggregator(resolved, function, expected, context);
+  };
+  return TimedQuery([&] {
+    return RunVectorQuery(label, CategoryOf(function), make, keys, values, n,
+                          expected_size, exec, range);
+  });
+}
+
+VectorQueryExecution ExecuteCompositeQuery(const std::string& label,
+                                           const CompositeAggregate& composite,
+                                           const uint64_t* keys,
+                                           const uint64_t* row_ids, size_t n,
+                                           size_t expected_size,
+                                           ExecutionContext exec) {
+  const auto make = [&composite](const std::string& resolved, size_t expected,
+                                 const ExecutionContext& context) {
+    return OperatorRow(resolved, context)
+        .make_composite(composite, expected, context);
+  };
+  return TimedQuery([&] {
+    return RunVectorQuery(label, composite.category(), make, keys, row_ids, n,
+                          expected_size, exec, /*range=*/{});
+  });
 }
 
 }  // namespace memagg

@@ -22,6 +22,8 @@
 
 namespace memagg {
 
+class CompositeAggregate;  // core/composite_aggregate.h
+
 /// Which family a label belongs to (paper Dimension 1).
 enum class AlgorithmCategory { kHash, kTree, kSort };
 
@@ -104,8 +106,9 @@ struct VectorQueryExecution {
 /// time measured here (what they leave out is kUnattributed), the
 /// operator's own subphases and structure counters (CollectStats), and —
 /// for parallel labels — the morsel/worker accounting recorded by the
-/// executor. This is the one vector-query path; GroupByAggregate and
-/// ExecuteTableQuery forward to it.
+/// executor. This is the one vector-query path; GroupByAggregate forwards
+/// to it, and ExecuteTableQuery reaches its body through
+/// ExecuteCompositeQuery.
 ///
 /// `expected_size` is the most groups the caller expects, and a ceiling:
 /// the operator is built for it, and the sampled cardinality estimate
@@ -129,6 +132,19 @@ VectorQueryExecution ExecuteVectorQuery(const std::string& label,
                                         size_t expected_size,
                                         ExecutionContext exec = {},
                                         std::optional<KeyRange> range = {});
+
+/// ExecuteVectorQuery over a composite aggregate, through the same body:
+/// one build folds every member of the composite, and each result row's
+/// value is the group's row in the composite's CompositeOutput. `row_ids`
+/// is the value column: for row i, the row the composite's measure columns
+/// hold its values at (ExecuteTableQuery passes its selection vector). An
+/// "auto" label is resolved from the composite's most demanding category.
+VectorQueryExecution ExecuteCompositeQuery(const std::string& label,
+                                           const CompositeAggregate& composite,
+                                           const uint64_t* keys,
+                                           const uint64_t* row_ids, size_t n,
+                                           size_t expected_size,
+                                           ExecutionContext exec = {});
 
 }  // namespace memagg
 

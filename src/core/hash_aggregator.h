@@ -25,9 +25,10 @@ namespace memagg {
 /// Vector aggregation over any memagg hash map. `MapT` is the map template
 /// (LinearProbingMap, ChainingMap, SparseMap, DenseMap, CuckooMap,
 /// ConcurrentChainingMap); `Aggregate` is an aggregate policy from
-/// core/aggregate.h. The map instantiated at the aggregate's State type
-/// must model GroupMap (core/concepts.h). A serial operator: it consumes on
-/// one worker, so ConsumeMorsel never runs concurrently with itself.
+/// core/aggregate.h, held by value. The map instantiated at the aggregate's
+/// State type must model GroupMap (core/concepts.h). A serial operator: it
+/// consumes on one worker, so ConsumeMorsel never runs concurrently with
+/// itself.
 template <template <typename> class MapT, MergeableAggregatePolicy Aggregate>
   requires GroupMap<MapT<typename Aggregate::State>, typename Aggregate::State>
 class HashVectorAggregator final : public MigratableAggregator<Aggregate> {
@@ -38,7 +39,9 @@ class HashVectorAggregator final : public MigratableAggregator<Aggregate> {
   /// `expected_size` pre-sizes the table. The paper assumes only the dataset
   /// size is known (cardinality estimation is unreliable), so callers pass
   /// the record count.
-  explicit HashVectorAggregator(size_t expected_size) : map_(expected_size) {}
+  explicit HashVectorAggregator(size_t expected_size,
+                                Aggregate aggregate = {})
+      : map_(expected_size), aggregate_(std::move(aggregate)) {}
 
   void ReserveGroups(size_t expected_groups) override {
     // GroupMap guarantees Reserve, so no feature probe is needed.
@@ -49,11 +52,11 @@ class HashVectorAggregator final : public MigratableAggregator<Aggregate> {
                      const Morsel& m) override {
     if constexpr (Aggregate::kNeedsValues) {
       for (size_t i = m.begin; i < m.end; ++i) {
-        Aggregate::Update(map_.GetOrInsert(keys[i]), values[i]);
+        aggregate_.Update(map_.GetOrInsert(keys[i]), values[i]);
       }
     } else {
       for (size_t i = m.begin; i < m.end; ++i) {
-        Aggregate::Update(map_.GetOrInsert(keys[i]), 0);
+        aggregate_.Update(map_.GetOrInsert(keys[i]), 0);
       }
     }
     rows_consumed_ += m.end - m.begin;
@@ -62,10 +65,10 @@ class HashVectorAggregator final : public MigratableAggregator<Aggregate> {
   VectorResult Iterate() override {
     VectorResult result;
     result.reserve(map_.size());
-    map_.ForEach([&result](EncodedKey key, const State& state) {
+    map_.ForEach([this, &result](EncodedKey key, const State& state) {
       // Holistic finalizers reorder their buffered values in place; the
       // entries are not actually const.
-      result.push_back({key, Aggregate::Finalize(const_cast<State&>(state))});
+      result.push_back({key, aggregate_.Finalize(const_cast<State&>(state))});
     });
     return result;
   }
@@ -89,10 +92,10 @@ class HashVectorAggregator final : public MigratableAggregator<Aggregate> {
 
   void AbsorbPartialState(Partial&& partial) override {
     for (auto& [key, state] : partial.partials) {
-      Aggregate::Merge(map_.GetOrInsert(key), state);
+      aggregate_.Merge(map_.GetOrInsert(key), state);
     }
     for (const auto& [key, value] : partial.records) {
-      Aggregate::Update(map_.GetOrInsert(key), value);
+      aggregate_.Update(map_.GetOrInsert(key), value);
     }
     rows_consumed_ += partial.rows;
   }
@@ -131,6 +134,7 @@ class HashVectorAggregator final : public MigratableAggregator<Aggregate> {
  private:
   MapT<State> map_;
   uint64_t rows_consumed_ = 0;  ///< Rows consumed (Progress reporting).
+  [[no_unique_address]] Aggregate aggregate_;
 };
 
 }  // namespace memagg

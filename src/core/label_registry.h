@@ -5,13 +5,16 @@
 //
 // A row is a label name, its flags (thread capability, paper Table 3 /
 // Table 8 membership, Q6 scalar median, cache-traced twin), and a row
-// template — a "family" — whose static Make<Aggregate, Tracer>() builds the
-// operator; the family also fixes the category. kLabelTable<Tracer>
-// instantiates the factories of every row for one MemoryTracer: the engine
-// reads kLabelTable<NullTracer>, and the traced engine reads
-// kLabelTable<SimTracer>, in which only kTraced rows have factories, and
-// only for COUNT and MEDIAN (paper Figure 6). So core/ never names the
-// simulator, and simulator-traced operators exist only for those rows.
+// template — a "family" — whose static Make<Aggregate, Tracer>(aggregate,
+// ...) builds the operator around an aggregate policy value; the family
+// also fixes the category. kLabelTable<Tracer> instantiates the factories
+// of every row for one MemoryTracer: the engine reads
+// kLabelTable<NullTracer>, where every row has one factory per aggregate
+// function and one for a CompositeAggregate (the table front-end's one
+// pass), and the traced engine reads kLabelTable<SimTracer>, in which only
+// kTraced rows have factories, and only for COUNT and MEDIAN (paper Figure
+// 6). So core/ never names the simulator, and simulator-traced operators
+// exist only for those rows.
 //
 // Internal to the engine: include it only from core/engine.cc and
 // sim/traced_engine.cc. Everyone else reads the rows through
@@ -30,6 +33,7 @@
 
 #include "core/adaptive_aggregator.h"
 #include "core/aggregate.h"
+#include "core/composite_aggregate.h"
 #include "core/concepts.h"
 #include "core/engine.h"
 #include "core/hash_aggregator.h"
@@ -60,6 +64,10 @@ namespace memagg {
 /// Builds a row's operator for one aggregate function.
 using VectorFactory = std::unique_ptr<VectorAggregator> (*)(
     size_t expected_size, const ExecutionContext& exec);
+/// Builds a row's operator over a composite aggregate.
+using CompositeFactory = std::unique_ptr<VectorAggregator> (*)(
+    const CompositeAggregate& composite, size_t expected_size,
+    const ExecutionContext& exec);
 /// Builds a row's Q6 scalar-median operator.
 using ScalarFactory =
     std::unique_ptr<ScalarAggregator> (*)(const ExecutionContext& exec);
@@ -70,6 +78,7 @@ using ScalarFactory =
 struct LabelRow {
   LabelInfo info;
   std::array<VectorFactory, kNumAggregateFunctions> make{};
+  CompositeFactory make_composite = nullptr;
   ScalarFactory make_scalar_median = nullptr;
 };
 
@@ -83,14 +92,15 @@ enum LabelFlag : unsigned {
 };
 
 /// Row-template contract: the category and, per (aggregate, tracer), the
-/// operator factory. Families of kScalarMedian rows also provide
-/// MakeScalarMedian(exec).
+/// operator factory over an aggregate policy value. Families of
+/// kScalarMedian rows also provide MakeScalarMedian(exec).
 template <typename F>
 concept LabelFamily = requires(size_t expected_size,
                                const ExecutionContext& exec) {
   { F::kCategory } -> std::convertible_to<AlgorithmCategory>;
   {
-    F::template Make<CountAggregate, NullTracer>(expected_size, exec)
+    F::template Make<CountAggregate, NullTracer>(CountAggregate{},
+                                                 expected_size, exec)
   } -> std::same_as<std::unique_ptr<VectorAggregator>>;
 };
 
@@ -112,14 +122,16 @@ template <template <typename, typename...> class MapT>
 struct Hash {
   static constexpr AlgorithmCategory kCategory = AlgorithmCategory::kHash;
   template <MergeableAggregatePolicy Aggregate, MemoryTracer Tracer>
-  static std::unique_ptr<VectorAggregator> Make(size_t expected_size,
+  static std::unique_ptr<VectorAggregator> Make(const Aggregate& aggregate,
+                                                size_t expected_size,
                                                 const ExecutionContext&) {
     if constexpr (Tracer::kEnabled) {
       return std::make_unique<HashVectorAggregator<
-          Traced<MapT, Tracer>::template type, Aggregate>>(expected_size);
+          Traced<MapT, Tracer>::template type, Aggregate>>(expected_size,
+                                                           aggregate);
     } else {
       return std::make_unique<HashVectorAggregator<MapT, Aggregate>>(
-          expected_size);
+          expected_size, aggregate);
     }
   }
 };
@@ -129,13 +141,15 @@ template <template <typename, typename...> class TreeT>
 struct Tree {
   static constexpr AlgorithmCategory kCategory = AlgorithmCategory::kTree;
   template <MergeableAggregatePolicy Aggregate, MemoryTracer Tracer>
-  static std::unique_ptr<VectorAggregator> Make(size_t,
+  static std::unique_ptr<VectorAggregator> Make(const Aggregate& aggregate,
+                                                size_t,
                                                 const ExecutionContext&) {
     if constexpr (Tracer::kEnabled) {
       return std::make_unique<TreeVectorAggregator<
-          Traced<TreeT, Tracer>::template type, Aggregate>>();
+          Traced<TreeT, Tracer>::template type, Aggregate>>(aggregate);
     } else {
-      return std::make_unique<TreeVectorAggregator<TreeT, Aggregate>>();
+      return std::make_unique<TreeVectorAggregator<TreeT, Aggregate>>(
+          aggregate);
     }
   }
   static std::unique_ptr<ScalarAggregator> MakeScalarMedian(
@@ -157,11 +171,12 @@ struct Sort {
     return sorter;
   }
   template <MergeableAggregatePolicy Aggregate, MemoryTracer Tracer>
-  static std::unique_ptr<VectorAggregator> Make(size_t,
+  static std::unique_ptr<VectorAggregator> Make(const Aggregate& aggregate,
+                                                size_t,
                                                 const ExecutionContext& exec) {
     using Traced = TracedSorter<SorterT, Tracer>;
     return std::make_unique<SortVectorAggregator<Traced, Aggregate, Tracer>>(
-        Traced{MakeSorter(exec)});
+        Traced{MakeSorter(exec)}, aggregate);
   }
   static std::unique_ptr<ScalarAggregator> MakeScalarMedian(
       const ExecutionContext& exec) {
@@ -175,41 +190,52 @@ struct Sort {
 struct Cuckoo {
   static constexpr AlgorithmCategory kCategory = AlgorithmCategory::kHash;
   template <MergeableAggregatePolicy Aggregate, MemoryTracer Tracer>
-  static std::unique_ptr<VectorAggregator> Make(size_t expected_size,
+  static std::unique_ptr<VectorAggregator> Make(const Aggregate& aggregate,
+                                                size_t expected_size,
                                                 const ExecutionContext& exec) {
     if (exec.num_threads > 1) {
       return std::make_unique<CuckooParallelAggregator<Aggregate>>(
-          expected_size, exec);
+          expected_size, exec, aggregate);
     }
-    return Hash<CuckooMap>::Make<Aggregate, Tracer>(expected_size, exec);
+    return Hash<CuckooMap>::Make<Aggregate, Tracer>(aggregate, expected_size,
+                                                    exec);
   }
 };
 
-/// Hash_TBBSC: one shared chaining table over self-synchronizing states.
+/// Hash_TBBSC: one shared chaining table over self-synchronizing states,
+/// through the aggregate's concurrent twin (built from the serial policy
+/// when it carries runtime state).
 struct SharedChaining {
   static constexpr AlgorithmCategory kCategory = AlgorithmCategory::kHash;
   template <MergeableAggregatePolicy Aggregate, MemoryTracer Tracer>
-  static std::unique_ptr<VectorAggregator> Make(size_t expected_size,
+  static std::unique_ptr<VectorAggregator> Make(const Aggregate& aggregate,
+                                                size_t expected_size,
                                                 const ExecutionContext& exec) {
     using Concurrent = typename ConcurrentAggregateFor<Aggregate>::type;
-    return std::make_unique<TbbStyleParallelAggregator<Concurrent>>(
-        expected_size, exec);
+    if constexpr (std::constructible_from<Concurrent, const Aggregate&>) {
+      return std::make_unique<TbbStyleParallelAggregator<Concurrent>>(
+          expected_size, exec, Concurrent(aggregate));
+    } else {
+      return std::make_unique<TbbStyleParallelAggregator<Concurrent>>(
+          expected_size, exec);
+    }
   }
 };
 
-/// An operator template constructed from (expected_size, exec) — or from
-/// expected_size alone when it is serial.
+/// An operator template constructed from (expected_size, exec, aggregate)
+/// — or from (expected_size, aggregate) when it is serial.
 template <template <typename> class Op>
 struct Operator {
   static constexpr AlgorithmCategory kCategory = AlgorithmCategory::kHash;
   template <MergeableAggregatePolicy Aggregate, MemoryTracer Tracer>
-  static std::unique_ptr<VectorAggregator> Make(size_t expected_size,
+  static std::unique_ptr<VectorAggregator> Make(const Aggregate& aggregate,
+                                                size_t expected_size,
                                                 const ExecutionContext& exec) {
     if constexpr (std::constructible_from<Op<Aggregate>, size_t,
-                                          ExecutionContext>) {
-      return std::make_unique<Op<Aggregate>>(expected_size, exec);
+                                          ExecutionContext, Aggregate>) {
+      return std::make_unique<Op<Aggregate>>(expected_size, exec, aggregate);
     } else {
-      return std::make_unique<Op<Aggregate>>(expected_size);
+      return std::make_unique<Op<Aggregate>>(expected_size, aggregate);
     }
   }
 };
@@ -220,20 +246,39 @@ template <AggStrategySet Strategies>
 struct Adaptive {
   static constexpr AlgorithmCategory kCategory = AlgorithmCategory::kHash;
   template <MergeableAggregatePolicy Aggregate, MemoryTracer Tracer>
-  static std::unique_ptr<VectorAggregator> Make(size_t expected_size,
+  static std::unique_ptr<VectorAggregator> Make(const Aggregate& aggregate,
+                                                size_t expected_size,
                                                 const ExecutionContext& exec) {
     AdaptiveOptions options;
     options.strategies = Strategies;
-    return std::make_unique<AdaptiveAggregator<Aggregate>>(expected_size, exec,
-                                                           options);
+    return std::make_unique<AdaptiveAggregator<Aggregate>>(
+        expected_size, exec, options, aggregate);
   }
 };
 
 }  // namespace family
 
+/// A row's VectorFactory for one of the stateless aggregate policies.
+template <LabelFamily Family, MergeableAggregatePolicy Aggregate,
+          MemoryTracer Tracer>
+std::unique_ptr<VectorAggregator> MakeFor(size_t expected_size,
+                                          const ExecutionContext& exec) {
+  return Family::template Make<Aggregate, Tracer>(Aggregate{}, expected_size,
+                                                  exec);
+}
+
+/// A row's CompositeFactory.
+template <LabelFamily Family>
+std::unique_ptr<VectorAggregator> MakeComposite(
+    const CompositeAggregate& composite, size_t expected_size,
+    const ExecutionContext& exec) {
+  return Family::template Make<CompositeAggregate, NullTracer>(
+      composite, expected_size, exec);
+}
+
 /// Instantiates one row for `Tracer`. With the null tracer every aggregate
-/// function gets a factory; with an enabled tracer only kTraced rows do,
-/// for COUNT and MEDIAN.
+/// function and the composite get a factory; with an enabled tracer only
+/// kTraced rows do, for COUNT and MEDIAN.
 template <MemoryTracer Tracer, LabelFamily Family, unsigned kFlags>
 constexpr LabelRow Row(const char* name) {
   LabelRow row{{name, Family::kCategory, (kFlags & kParallel) != 0,
@@ -241,21 +286,22 @@ constexpr LabelRow Row(const char* name) {
                 (kFlags & kScalarMedian) != 0, (kFlags & kTraced) != 0}};
   if constexpr (!Tracer::kEnabled) {
     row.make = {// In AggregateFunction order.
-                &Family::template Make<CountAggregate, Tracer>,
-                &Family::template Make<SumAggregate, Tracer>,
-                &Family::template Make<MinAggregate, Tracer>,
-                &Family::template Make<MaxAggregate, Tracer>,
-                &Family::template Make<AverageAggregate, Tracer>,
-                &Family::template Make<MedianAggregate, Tracer>,
-                &Family::template Make<ModeAggregate, Tracer>};
+                &MakeFor<Family, CountAggregate, Tracer>,
+                &MakeFor<Family, SumAggregate, Tracer>,
+                &MakeFor<Family, MinAggregate, Tracer>,
+                &MakeFor<Family, MaxAggregate, Tracer>,
+                &MakeFor<Family, AverageAggregate, Tracer>,
+                &MakeFor<Family, MedianAggregate, Tracer>,
+                &MakeFor<Family, ModeAggregate, Tracer>};
+    row.make_composite = &MakeComposite<Family>;
     if constexpr ((kFlags & kScalarMedian) != 0) {
       row.make_scalar_median = &Family::MakeScalarMedian;
     }
   } else if constexpr ((kFlags & kTraced) != 0) {
     row.make[static_cast<size_t>(AggregateFunction::kCount)] =
-        &Family::template Make<CountAggregate, Tracer>;
+        &MakeFor<Family, CountAggregate, Tracer>;
     row.make[static_cast<size_t>(AggregateFunction::kMedian)] =
-        &Family::template Make<MedianAggregate, Tracer>;
+        &MakeFor<Family, MedianAggregate, Tracer>;
   }
   return row;
 }

@@ -52,10 +52,12 @@ class LocalPartitionAggregator final : public MigratableAggregator<Aggregate> {
   using Partial = PartialAggState<Aggregate>;
 
   LocalPartitionAggregator(size_t expected_size, ExecutionContext exec,
+                           Aggregate aggregate = {},
                            LocalMergeMode merge_mode = LocalMergeMode::kCentral)
       : MigratableAggregator<Aggregate>(exec),
         merge_mode_(merge_mode),
-        rows_consumed_(Executor(exec).num_workers()) {
+        rows_consumed_(Executor(exec).num_workers()),
+        aggregate_(std::move(aggregate)) {
     const int num_workers = Executor(exec).num_workers();
     locals_.reserve(static_cast<size_t>(num_workers));
     for (int t = 0; t < num_workers; ++t) {
@@ -76,11 +78,11 @@ class LocalPartitionAggregator final : public MigratableAggregator<Aggregate> {
     LinearProbingMap<State>& local = *locals_[m.worker];
     if constexpr (Aggregate::kNeedsValues) {
       for (size_t i = m.begin; i < m.end; ++i) {
-        Aggregate::Update(local.GetOrInsert(keys[i]), values[i]);
+        aggregate_.Update(local.GetOrInsert(keys[i]), values[i]);
       }
     } else {
       for (size_t i = m.begin; i < m.end; ++i) {
-        Aggregate::Update(local.GetOrInsert(keys[i]), 0);
+        aggregate_.Update(local.GetOrInsert(keys[i]), 0);
       }
     }
     rows_consumed_[m.worker] += m.end - m.begin;
@@ -99,8 +101,8 @@ class LocalPartitionAggregator final : public MigratableAggregator<Aggregate> {
     LinearProbingMap<State>& merged = *locals_[0];
     VectorResult result;
     result.reserve(merged.size());
-    merged.ForEach([&result](EncodedKey key, const State& state) {
-      result.push_back({key, Aggregate::Finalize(const_cast<State&>(state))});
+    merged.ForEach([this, &result](EncodedKey key, const State& state) {
+      result.push_back({key, aggregate_.Finalize(const_cast<State&>(state))});
     });
     return result;
   }
@@ -134,10 +136,10 @@ class LocalPartitionAggregator final : public MigratableAggregator<Aggregate> {
   void AbsorbPartialState(Partial&& partial) override {
     LinearProbingMap<State>& local = *locals_[0];
     for (auto& [key, state] : partial.partials) {
-      Aggregate::Merge(local.GetOrInsert(key), state);
+      aggregate_.Merge(local.GetOrInsert(key), state);
     }
     for (const auto& [key, value] : partial.records) {
-      Aggregate::Update(local.GetOrInsert(key), value);
+      aggregate_.Update(local.GetOrInsert(key), value);
     }
     rows_consumed_[0] += partial.rows;
   }
@@ -172,10 +174,10 @@ class LocalPartitionAggregator final : public MigratableAggregator<Aggregate> {
   /// Folds `from` into `into` and frees the merged-away table eagerly.
   /// Move-assignment releases the old table's slots and its arena chunks
   /// wholesale — one deallocation per partition, not one per entry.
-  static void MergeInto(LinearProbingMap<State>& into,
-                        LinearProbingMap<State>& from) {
-    from.ForEach([&into](EncodedKey key, const State& state) {
-      Aggregate::Merge(into.GetOrInsert(key), const_cast<State&>(state));
+  void MergeInto(LinearProbingMap<State>& into,
+                 LinearProbingMap<State>& from) const {
+    from.ForEach([this, &into](EncodedKey key, const State& state) {
+      aggregate_.Merge(into.GetOrInsert(key), const_cast<State&>(state));
     });
     from = LinearProbingMap<State>(2);
   }
@@ -216,6 +218,7 @@ class LocalPartitionAggregator final : public MigratableAggregator<Aggregate> {
   WorkerLocal<uint64_t> rows_consumed_;  ///< Rows consumed, per worker.
   std::vector<std::unique_ptr<LinearProbingMap<State>>> locals_;
   QueryStats stats_;  // Merge-subphase timing and merge-round counts.
+  [[no_unique_address]] Aggregate aggregate_;
 };
 
 }  // namespace memagg

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/aggregate.h"
@@ -28,7 +29,9 @@ class MphVectorAggregator final : public VectorAggregator {
  public:
   using State = typename Aggregate::State;
 
-  explicit MphVectorAggregator(size_t /*expected_size*/ = 0) {}
+  explicit MphVectorAggregator(size_t /*expected_size*/ = 0,
+                               Aggregate aggregate = {})
+      : aggregate_(std::move(aggregate)) {}
 
   void BeginConsume(int num_workers, size_t /*expected_rows*/) override {
     MEMAGG_CHECK(num_workers == 1 && "Hash_MPH consumes on one worker");
@@ -56,7 +59,7 @@ class MphVectorAggregator final : public VectorAggregator {
     for (size_t i = 0; i < buffered_keys_.size(); ++i) {
       const size_t slot = mph_.Slot(buffered_keys_[i]);
       MEMAGG_DCHECK(slot < states_.size());
-      Aggregate::Update(states_[slot], Aggregate::kNeedsValues
+      aggregate_.Update(states_[slot], Aggregate::kNeedsValues
                                            ? buffered_values_[i]
                                            : 0);
     }
@@ -66,8 +69,7 @@ class MphVectorAggregator final : public VectorAggregator {
     VectorResult result;
     result.reserve(states_.size());
     for (size_t slot = 0; slot < states_.size(); ++slot) {
-      result.push_back(
-          {mph_.KeyAt(slot), Aggregate::Finalize(states_[slot])});
+      result.push_back({mph_.KeyAt(slot), aggregate_.Finalize(states_[slot])});
     }
     return result;
   }
@@ -80,7 +82,7 @@ class MphVectorAggregator final : public VectorAggregator {
       const EncodedKey key = mph_.KeyAt(slot);
       if (key < lo) continue;
       if (key > hi) break;  // Slots are key-ordered.
-      result.push_back({key, Aggregate::Finalize(states_[slot])});
+      result.push_back({key, aggregate_.Finalize(states_[slot])});
     }
     return result;
   }
@@ -100,6 +102,7 @@ class MphVectorAggregator final : public VectorAggregator {
   std::vector<State> states_;
   std::vector<uint64_t> buffered_keys_;
   std::vector<uint64_t> buffered_values_;
+  [[no_unique_address]] Aggregate aggregate_;
 };
 
 }  // namespace memagg

@@ -20,13 +20,16 @@
 #define MEMAGG_CORE_PARALLEL_AGGREGATOR_H_
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/aggregate.h"
+#include "core/composite_aggregate.h"
 #include "core/concepts.h"
 #include "core/migratable.h"
 #include "core/operator.h"
@@ -168,6 +171,59 @@ struct ConcurrentModeAggregate {
   }
 };
 
+/// The composite's Hash_TBBSC twin: the same members and words, each word a
+/// relaxed atomic (adds for counts and sums, compare-exchange loops for the
+/// max and complemented-min words), and row ids in a lock-guarded buffer
+/// when the composite keeps them.
+class ConcurrentCompositeAggregate {
+ public:
+  struct State {
+    std::array<std::atomic<uint64_t>, CompositeAggregate::kMaxWords> words{};
+    SpinLock lock{LockRank::kAggregateState};
+    std::vector<uint64_t> rows GUARDED_BY(lock);
+  };
+  static constexpr bool kNeedsValues = true;
+
+  explicit ConcurrentCompositeAggregate(CompositeAggregate serial)
+      : serial_(std::move(serial)) {}
+
+  void Update(State& state, uint64_t row) const {
+    if (serial_.buffers_rows()) {
+      SpinLockGuard guard(state.lock);
+      state.rows.push_back(row);
+      return;
+    }
+    for (size_t w = 0; w < serial_.num_words(); ++w) {
+      const uint64_t input = serial_.WordInput(w, row);
+      std::atomic<uint64_t>& word = state.words[w];
+      if (serial_.WordAdds(w)) {
+        word.fetch_add(input, std::memory_order_relaxed);
+        continue;
+      }
+      uint64_t current = word.load(std::memory_order_relaxed);
+      while (input > current &&
+             !word.compare_exchange_weak(current, input,
+                                         std::memory_order_relaxed)) {
+      }
+    }
+  }
+
+  double Finalize(State& state) const {
+    if (serial_.buffers_rows()) {
+      SpinLockGuard guard(state.lock);
+      return serial_.FinalizeRun(state.rows.data(), state.rows.size());
+    }
+    std::array<uint64_t, CompositeAggregate::kMaxWords> words{};
+    for (size_t w = 0; w < serial_.num_words(); ++w) {
+      words[w] = state.words[w].load(std::memory_order_relaxed);
+    }
+    return serial_.FinalizeWords(words);
+  }
+
+ private:
+  CompositeAggregate serial_;
+};
+
 /// Maps a serial aggregate policy to its Hash_TBBSC concurrent counterpart.
 template <AggregatePolicy Aggregate>
 struct ConcurrentAggregateFor;
@@ -199,6 +255,10 @@ template <>
 struct ConcurrentAggregateFor<ModeAggregate> {
   using type = ConcurrentModeAggregate;
 };
+template <>
+struct ConcurrentAggregateFor<CompositeAggregate> {
+  using type = ConcurrentCompositeAggregate;
+};
 
 /// Hash_TBBSC-style parallel aggregation: all threads share one
 /// ConcurrentChainingMap; group states synchronize themselves. Nodes are
@@ -215,7 +275,8 @@ class TbbStyleParallelAggregator final : public VectorAggregator {
   /// Borrows the context's per-worker arenas when they cover the thread
   /// budget; otherwise owns a private pool so direct construction (tests,
   /// benches) works without an engine.
-  TbbStyleParallelAggregator(size_t expected_size, ExecutionContext exec)
+  TbbStyleParallelAggregator(size_t expected_size, ExecutionContext exec,
+                             ConcurrentAggregate aggregate = {})
       : VectorAggregator(exec),
         owned_arenas_(exec.arenas != nullptr &&
                               exec.arenas->num_workers() >= exec.num_threads
@@ -224,7 +285,8 @@ class TbbStyleParallelAggregator final : public VectorAggregator {
         arenas_(owned_arenas_ != nullptr ? owned_arenas_.get() : exec.arenas),
         lease_(arenas_->Acquire()),
         pools_(exec.num_threads),
-        map_(expected_size) {
+        map_(expected_size),
+        aggregate_(std::move(aggregate)) {
     for (int w = 0; w < pools_.size(); ++w) {
       pools_[w].Attach(&arenas_->ForWorker(w));
     }
@@ -234,18 +296,17 @@ class TbbStyleParallelAggregator final : public VectorAggregator {
                      const Morsel& m) override {
     NodeAlloc& pool = pools_[m.worker];
     for (size_t i = m.begin; i < m.end; ++i) {
-      ConcurrentAggregate::Update(
-          map_.GetOrInsert(keys[i], pool),
-          ConcurrentAggregate::kNeedsValues ? values[i] : 0);
+      aggregate_.Update(map_.GetOrInsert(keys[i], pool),
+                        ConcurrentAggregate::kNeedsValues ? values[i] : 0);
     }
   }
 
   VectorResult Iterate() override {
     VectorResult result;
     result.reserve(map_.size());
-    map_.ForEach([&result](EncodedKey key, const State& state) {
+    map_.ForEach([this, &result](EncodedKey key, const State& state) {
       result.push_back(
-          {key, ConcurrentAggregate::Finalize(const_cast<State&>(state))});
+          {key, aggregate_.Finalize(const_cast<State&>(state))});
     });
     return result;
   }
@@ -273,9 +334,10 @@ class TbbStyleParallelAggregator final : public VectorAggregator {
   // down, so a context pool cannot be ResetAll()'d out from under them.
   WorkerArenas::Lease lease_;
   WorkerLocal<NodeAlloc> pools_;
-  // Declared last: the map's destructor runs node destructors while the
-  // arenas holding those nodes are still alive.
+  // Declared after the arenas: the map's destructor runs node destructors
+  // while the arenas holding those nodes are still alive.
   ConcurrentChainingMap<State> map_;
+  [[no_unique_address]] ConcurrentAggregate aggregate_;
 };
 
 /// Hash_LC-style parallel aggregation: updates run inside CuckooMap::Upsert
@@ -287,24 +349,27 @@ class CuckooParallelAggregator final : public VectorAggregator {
   using State = typename Aggregate::State;
   static_assert(ConcurrentGroupMap<CuckooMap<State>, State>);
 
-  CuckooParallelAggregator(size_t expected_size, ExecutionContext exec)
+  CuckooParallelAggregator(size_t expected_size, ExecutionContext exec,
+                           Aggregate aggregate = {})
       : VectorAggregator(exec),
-        map_(std::max(expected_size, kMinExpectedSize)) {}
+        map_(std::max(expected_size, kMinExpectedSize)),
+        aggregate_(std::move(aggregate)) {}
 
   void ConsumeMorsel(const uint64_t* keys, const uint64_t* values,
                      const Morsel& m) override {
     for (size_t i = m.begin; i < m.end; ++i) {
       const uint64_t value = Aggregate::kNeedsValues ? values[i] : 0;
-      map_.Upsert(keys[i],
-                  [value](State& state) { Aggregate::Update(state, value); });
+      map_.Upsert(keys[i], [this, value](State& state) {
+        aggregate_.Update(state, value);
+      });
     }
   }
 
   VectorResult Iterate() override {
     VectorResult result;
     result.reserve(map_.size());
-    map_.ForEach([&result](EncodedKey key, const State& state) {
-      result.push_back({key, Aggregate::Finalize(const_cast<State&>(state))});
+    map_.ForEach([this, &result](EncodedKey key, const State& state) {
+      result.push_back({key, aggregate_.Finalize(const_cast<State&>(state))});
     });
     return result;
   }
@@ -327,6 +392,7 @@ class CuckooParallelAggregator final : public VectorAggregator {
   static constexpr size_t kMinExpectedSize = size_t{1} << 14;
 
   CuckooMap<State> map_;
+  [[no_unique_address]] Aggregate aggregate_;
 };
 
 /// Hash_Striped-style parallel aggregation: lock-striped serial
@@ -343,17 +409,20 @@ class StripedParallelAggregator final : public MigratableAggregator<Aggregate> {
   static_assert(
       ConcurrentGroupMap<StripedMap<LinearProbingMap<State>>, State>);
 
-  StripedParallelAggregator(size_t expected_size, ExecutionContext exec)
+  StripedParallelAggregator(size_t expected_size, ExecutionContext exec,
+                            Aggregate aggregate = {})
       : MigratableAggregator<Aggregate>(exec),
         map_(expected_size),
-        rows_consumed_(Executor(exec).num_workers()) {}
+        rows_consumed_(Executor(exec).num_workers()),
+        aggregate_(std::move(aggregate)) {}
 
   void ConsumeMorsel(const uint64_t* keys, const uint64_t* values,
                      const Morsel& m) override {
     for (size_t i = m.begin; i < m.end; ++i) {
       const uint64_t value = Aggregate::kNeedsValues ? values[i] : 0;
-      map_.Upsert(keys[i],
-                  [value](State& state) { Aggregate::Update(state, value); });
+      map_.Upsert(keys[i], [this, value](State& state) {
+        aggregate_.Update(state, value);
+      });
     }
     rows_consumed_[m.worker] += m.end - m.begin;
   }
@@ -361,8 +430,8 @@ class StripedParallelAggregator final : public MigratableAggregator<Aggregate> {
   VectorResult Iterate() override {
     VectorResult result;
     result.reserve(map_.size());
-    map_.ForEach([&result](EncodedKey key, const State& state) {
-      result.push_back({key, Aggregate::Finalize(const_cast<State&>(state))});
+    map_.ForEach([this, &result](EncodedKey key, const State& state) {
+      result.push_back({key, aggregate_.Finalize(const_cast<State&>(state))});
     });
     return result;
   }
@@ -391,11 +460,14 @@ class StripedParallelAggregator final : public MigratableAggregator<Aggregate> {
   void AbsorbPartialState(Partial&& partial) override {
     for (auto& [key, state] : partial.partials) {
       State& from = state;
-      map_.Upsert(key, [&from](State& into) { Aggregate::Merge(into, from); });
+      map_.Upsert(key, [this, &from](State& into) {
+        aggregate_.Merge(into, from);
+      });
     }
     for (const auto& [key, value] : partial.records) {
-      map_.Upsert(key,
-                  [value](State& state) { Aggregate::Update(state, value); });
+      map_.Upsert(key, [this, value](State& state) {
+        aggregate_.Update(state, value);
+      });
     }
     rows_consumed_[0] += partial.rows;
   }
@@ -419,6 +491,7 @@ class StripedParallelAggregator final : public MigratableAggregator<Aggregate> {
  private:
   StripedMap<LinearProbingMap<State>> map_;
   WorkerLocal<uint64_t> rows_consumed_;  ///< Rows consumed, per worker.
+  [[no_unique_address]] Aggregate aggregate_;
 };
 
 }  // namespace memagg

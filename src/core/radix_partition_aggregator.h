@@ -49,12 +49,14 @@ class RadixPartitionAggregator final : public MigratableAggregator<Aggregate> {
   /// One table per (worker, partition). The size hint is spread over all
   /// W x P tables, so together they hold `expected_size` groups before
   /// growing.
-  RadixPartitionAggregator(size_t expected_size, ExecutionContext exec)
+  RadixPartitionAggregator(size_t expected_size, ExecutionContext exec,
+                           Aggregate aggregate = {})
       : MigratableAggregator<Aggregate>(exec),
         num_workers_(Executor(exec).num_workers()),
         num_partitions_(NextPowerOfTwo(static_cast<uint64_t>(
             std::max(1, exec.num_threads)))),
-        rows_consumed_(num_workers_) {
+        rows_consumed_(num_workers_),
+        aggregate_(std::move(aggregate)) {
     const size_t tables = static_cast<size_t>(num_workers_) * num_partitions_;
     tables_.reserve(tables);
     for (size_t t = 0; t < tables; ++t) {
@@ -74,7 +76,7 @@ class RadixPartitionAggregator final : public MigratableAggregator<Aggregate> {
     for (size_t i = m.begin; i < m.end; ++i) {
       const uint64_t value = Aggregate::kNeedsValues ? values[i] : 0;
       LinearProbingMap<State>& table = *tables_[base + PartitionOf(keys[i])];
-      Aggregate::Update(table.GetOrInsert(keys[i]), value);
+      aggregate_.Update(table.GetOrInsert(keys[i]), value);
     }
     rows_consumed_[m.worker] += m.end - m.begin;
   }
@@ -94,8 +96,9 @@ class RadixPartitionAggregator final : public MigratableAggregator<Aggregate> {
                   LinearProbingMap<State>& into = *tables_[p];
                   for (int w = 1; w < num_workers_; ++w) {
                     LinearProbingMap<State>& from = *tables_[Slot(w, p)];
-                    from.ForEach([&into](EncodedKey key, const State& state) {
-                      Aggregate::Merge(into.GetOrInsert(key),
+                    from.ForEach([this, &into](EncodedKey key,
+                                               const State& state) {
+                      aggregate_.Merge(into.GetOrInsert(key),
                                        const_cast<State&>(state));
                     });
                     from = LinearProbingMap<State>(2);
@@ -107,9 +110,10 @@ class RadixPartitionAggregator final : public MigratableAggregator<Aggregate> {
     VectorResult result;
     result.reserve(NumGroups());
     for (size_t p = 0; p < num_partitions_; ++p) {
-      tables_[p]->ForEach([&result](EncodedKey key, const State& state) {
+      tables_[p]->ForEach([this, &result](EncodedKey key,
+                                          const State& state) {
         result.push_back(
-            {key, Aggregate::Finalize(const_cast<State&>(state))});
+            {key, aggregate_.Finalize(const_cast<State&>(state))});
       });
     }
     return result;
@@ -144,10 +148,10 @@ class RadixPartitionAggregator final : public MigratableAggregator<Aggregate> {
 
   void AbsorbPartialState(Partial&& partial) override {
     for (auto& [key, state] : partial.partials) {
-      Aggregate::Merge(tables_[PartitionOf(key)]->GetOrInsert(key), state);
+      aggregate_.Merge(tables_[PartitionOf(key)]->GetOrInsert(key), state);
     }
     for (const auto& [key, value] : partial.records) {
-      Aggregate::Update(tables_[PartitionOf(key)]->GetOrInsert(key), value);
+      aggregate_.Update(tables_[PartitionOf(key)]->GetOrInsert(key), value);
     }
     rows_consumed_[0] += partial.rows;
   }
@@ -195,6 +199,7 @@ class RadixPartitionAggregator final : public MigratableAggregator<Aggregate> {
   std::vector<std::unique_ptr<LinearProbingMap<State>>> tables_;
   WorkerLocal<uint64_t> rows_consumed_;  ///< Rows consumed, per worker.
   QueryStats stats_;  // Merge-subphase timing and merge-round counts.
+  [[no_unique_address]] Aggregate aggregate_;
 };
 
 }  // namespace memagg

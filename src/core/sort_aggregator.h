@@ -35,9 +35,9 @@ namespace memagg {
 
 /// Vector aggregation via sorting. `SorterT` is a functor from
 /// core/sorters.h modeling the Sorter concept; `Aggregate` is an aggregate
-/// policy. `Tracer` reports the operator's row-buffer accesses (the sort
-/// kernel itself is traced by wrapping the sorter's KeyOf — see
-/// sim/traced_engine.h).
+/// policy, held by value. `Tracer` reports the operator's row-buffer
+/// accesses (the sort kernel itself is traced by wrapping the sorter's KeyOf
+/// — see sim/traced_engine.h).
 template <Sorter SorterT, MergeableAggregatePolicy Aggregate,
           MemoryTracer Tracer = NullTracer>
 class SortVectorAggregator final : public MigratableAggregator<Aggregate> {
@@ -49,8 +49,9 @@ class SortVectorAggregator final : public MigratableAggregator<Aggregate> {
   using Row = std::conditional_t<Aggregate::kNeedsValues,
                                  std::pair<uint64_t, uint64_t>, uint64_t>;
 
-  explicit SortVectorAggregator(SorterT sorter = SorterT{})
-      : sorter_(std::move(sorter)) {}
+  explicit SortVectorAggregator(SorterT sorter = SorterT{},
+                                Aggregate aggregate = {})
+      : sorter_(std::move(sorter)), aggregate_(std::move(aggregate)) {}
 
   void BuildOwned(std::vector<uint64_t>&& keys,
                   std::vector<uint64_t>&& values) override {
@@ -280,29 +281,30 @@ class SortVectorAggregator final : public MigratableAggregator<Aggregate> {
   }
 
   /// Aggregates one group: its run of rows plus any absorbed partials.
-  /// Holistic aggregates with a FinalizeRun fast path evaluate a run that
-  /// has no partial over its values in place; the rest fold through a state.
+  /// Aggregates with a FinalizeRun fast path (the holistic ones, and the
+  /// composite over its row ids) evaluate a run that has no partial over its
+  /// values in place; the rest fold through a state.
   double AggregateGroup(size_t run_begin, size_t run_end, size_t partial_begin,
                         size_t partial_end) {
     if constexpr (requires(uint64_t* v, size_t c) {
-                    Aggregate::FinalizeRun(v, c);
+                    aggregate_.FinalizeRun(v, c);
                   }) {
       if (partial_begin == partial_end) {
         run_values_.resize(run_end - run_begin);
         for (size_t i = run_begin; i < run_end; ++i) {
           run_values_[i - run_begin] = ValueOf(rows_[i]);
         }
-        return Aggregate::FinalizeRun(run_values_.data(), run_values_.size());
+        return aggregate_.FinalizeRun(run_values_.data(), run_values_.size());
       }
     }
     State state{};
     for (size_t i = run_begin; i < run_end; ++i) {
-      Aggregate::Update(state, ValueOf(rows_[i]));
+      aggregate_.Update(state, ValueOf(rows_[i]));
     }
     for (size_t p = partial_begin; p < partial_end; ++p) {
-      Aggregate::Merge(state, absorbed_[p].second);
+      aggregate_.Merge(state, absorbed_[p].second);
     }
-    return Aggregate::Finalize(state);
+    return aggregate_.Finalize(state);
   }
 
   SorterT sorter_;
@@ -316,6 +318,7 @@ class SortVectorAggregator final : public MigratableAggregator<Aggregate> {
   std::vector<std::pair<uint64_t, State>> absorbed_;
   uint64_t partial_rows_ = 0;  ///< Rows represented by absorbed_ partials.
   QueryStats stats_;           // Sort-kernel subphase + row counts.
+  [[no_unique_address]] Aggregate aggregate_;
 };
 
 }  // namespace memagg

@@ -11,38 +11,37 @@
 //   TableQueryResult r = ExecuteTableQuery(table, q, "Hash_LP");
 //
 // Execution plan (the StatPhase each step is timed as in brackets):
-//   1. [select] optional row filter (filter_column <= filter_max) selects
-//      row ids;
+//   1. [select] the selection vector: the ids of the rows the optional
+//      filter (filter_column <= filter_max) keeps, or of every row;
 //   2. [select] the group-by columns are packed into EncodedKeys by a
 //      KeyCodec, one key column at a time — PackedKeyCodec when the
 //      composite fits 63 bits, DictKeyCodec otherwise (data/key_codec.h);
 //   3. [select] an optional Q7-style range on the leading key column
 //      narrows the rows via the codec's contiguous encoded range
 //      (order-preserving codecs only — aborts loudly otherwise);
-//   4. [gather] a filtered query gathers each aggregate's measure column
-//      through the selected rows into one reused buffer; an unfiltered one
-//      reads the column in place;
-//   5. one ExecuteVectorQuery per aggregate runs over the shared key
-//      column (families, threading, and the adaptive operator all work
-//      unchanged — they never learn the key was composite). Each is sized
-//      to the codec's group bound (PackedKeyCodec::max_groups(), 2 to the
-//      key width, or DictKeyCodec's exact num_distinct()) capped at the
-//      rows fed, instead of to the row count: the bound is proven, so no
+//   4. one ExecuteCompositeQuery folds every aggregate in one build: a
+//      CompositeAggregate (core/composite_aggregate.h) takes the selection
+//      vector as its value column and reads each measure by row id, so no
+//      measure column is copied (families, threading, and the adaptive
+//      operator all work unchanged — they never learn the key was
+//      composite or the aggregate several). The operator is sized to the
+//      codec's group bound (PackedKeyCodec::max_groups(), 2 to the key
+//      width, or DictKeyCodec's exact num_distinct()) capped at the rows
+//      fed, instead of to the row count: the bound is proven, so no
 //      operator is sized below its groups;
-//   6. [assemble] each run's result is sorted by encoded key and the runs
-//      are zipped (the first must hold no key twice, the rest must list
-//      the same keys); with an order-preserving codec that order is the
-//      canonical group order, otherwise the groups are sorted by decoded
-//      tuple. Keys are decoded back to column values.
+//   5. [assemble] the groups are sorted by encoded key (a key listed twice
+//      aborts); with an order-preserving codec that order is the canonical
+//      group order, otherwise the groups are sorted by decoded tuple. Keys
+//      are decoded back to column values and each group's member values
+//      read out of the composite's output.
 //
-// The result's QueryStats carries those phases, each run's setup, build and
+// The result's QueryStats carries those phases, the run's setup, build and
 // iterate, and the call's wall time; kUnattributed is what they leave out.
 //
 // The label may be "auto": the advisor picks it once per query from the
-// query shape and the codec's key width (core/advisor.h), and every
-// aggregate runs that label. A serial label runs on one thread whatever
-// the budget (ExecuteVectorQuery's thread rule), so the range branch's
-// tree pick is valid at any thread count.
+// query shape and the codec's key width (core/advisor.h). A serial label
+// runs on one thread whatever the budget (ExecuteVectorQuery's thread
+// rule), so the range branch's tree pick is valid at any thread count.
 //
 // Measure columns must be kU64 — aggregate states stay integer-exact, which
 // is what makes golden-file validation byte-stable across every family and
@@ -144,10 +143,6 @@ size_t QueryFootprintBytes(const T& table, const TableQuery& query) {
   }
   return bytes;
 }
-
-/// The most demanding Gray-taxonomy category across the query's aggregates
-/// (holistic > algebraic > distributive) — what the advisor plans for.
-FunctionCategory QueryCategory(const TableQuery& query);
 
 /// Runs `query` end to end through the engine. `label` is any
 /// MakeVectorAggregator label, or "auto" for the advisor's pick. Aborts

@@ -24,8 +24,8 @@ namespace memagg {
 
 /// Vector aggregation over any memagg tree index. `TreeT` is the tree
 /// template (ArtTree, JudyArray, BTree, TTree); `Aggregate` is an aggregate
-/// policy from core/aggregate.h. The tree instantiated at the aggregate's
-/// State type must model OrderedGroupStore (core/concepts.h).
+/// policy from core/aggregate.h, held by value. The tree instantiated at the
+/// aggregate's State type must model OrderedGroupStore (core/concepts.h).
 template <template <typename> class TreeT, MergeableAggregatePolicy Aggregate>
   requires OrderedGroupStore<TreeT<typename Aggregate::State>,
                              typename Aggregate::State>
@@ -36,7 +36,8 @@ class TreeVectorAggregator final : public MigratableAggregator<Aggregate> {
 
   /// Trees grow dynamically with the data (paper Section 3.3); no
   /// pre-sizing is needed or possible.
-  TreeVectorAggregator() = default;
+  explicit TreeVectorAggregator(Aggregate aggregate = {})
+      : aggregate_(std::move(aggregate)) {}
 
   /// Serial, like the hash operator: ConsumeMorsel never runs concurrently
   /// with itself.
@@ -44,11 +45,11 @@ class TreeVectorAggregator final : public MigratableAggregator<Aggregate> {
                      const Morsel& m) override {
     if constexpr (Aggregate::kNeedsValues) {
       for (size_t i = m.begin; i < m.end; ++i) {
-        Aggregate::Update(tree_.GetOrInsert(keys[i]), values[i]);
+        aggregate_.Update(tree_.GetOrInsert(keys[i]), values[i]);
       }
     } else {
       for (size_t i = m.begin; i < m.end; ++i) {
-        Aggregate::Update(tree_.GetOrInsert(keys[i]), 0);
+        aggregate_.Update(tree_.GetOrInsert(keys[i]), 0);
       }
     }
     rows_consumed_ += m.end - m.begin;
@@ -57,8 +58,8 @@ class TreeVectorAggregator final : public MigratableAggregator<Aggregate> {
   VectorResult Iterate() override {
     VectorResult result;
     result.reserve(tree_.size());
-    tree_.ForEach([&result](EncodedKey key, const State& state) {
-      result.push_back({key, Aggregate::Finalize(const_cast<State&>(state))});
+    tree_.ForEach([this, &result](EncodedKey key, const State& state) {
+      result.push_back({key, aggregate_.Finalize(const_cast<State&>(state))});
     });
     return result;
   }
@@ -67,9 +68,11 @@ class TreeVectorAggregator final : public MigratableAggregator<Aggregate> {
 
   VectorResult IterateRange(uint64_t lo, uint64_t hi) override {
     VectorResult result;
-    tree_.ForEachInRange(lo, hi, [&result](EncodedKey key, const State& state) {
-      result.push_back({key, Aggregate::Finalize(const_cast<State&>(state))});
-    });
+    tree_.ForEachInRange(
+        lo, hi, [this, &result](EncodedKey key, const State& state) {
+          result.push_back(
+              {key, aggregate_.Finalize(const_cast<State&>(state))});
+        });
     return result;
   }
 
@@ -95,10 +98,10 @@ class TreeVectorAggregator final : public MigratableAggregator<Aggregate> {
 
   void AbsorbPartialState(Partial&& partial) override {
     for (auto& [key, state] : partial.partials) {
-      Aggregate::Merge(tree_.GetOrInsert(key), state);
+      aggregate_.Merge(tree_.GetOrInsert(key), state);
     }
     for (const auto& [key, value] : partial.records) {
-      Aggregate::Update(tree_.GetOrInsert(key), value);
+      aggregate_.Update(tree_.GetOrInsert(key), value);
     }
     rows_consumed_ += partial.rows;
   }
@@ -142,6 +145,7 @@ class TreeVectorAggregator final : public MigratableAggregator<Aggregate> {
  private:
   TreeT<State> tree_;
   uint64_t rows_consumed_ = 0;  ///< Rows consumed (Progress reporting).
+  [[no_unique_address]] Aggregate aggregate_;
 };
 
 }  // namespace memagg

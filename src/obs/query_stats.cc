@@ -7,8 +7,8 @@ namespace memagg {
 namespace {
 
 constexpr const char* kPhaseNames[kNumStatPhases] = {
-    "partition", "build",  "sort",     "iterate",  "merge",
-    "setup",     "select", "gather",   "assemble", "unattributed"};
+    "partition", "build",  "sort",     "iterate", "merge",
+    "setup",     "select", "assemble", "unattributed"};
 
 constexpr const char* kCounterNames[kNumStatCounters] = {
     "rows_built",    "groups_out",    "hash_entries",   "rehashes",

@@ -56,14 +56,13 @@ enum class StatPhase : size_t {
   kMerge,          ///< Subphase: combining per-worker partial states.
   kSetup,          ///< Top level: operator factory, cardinality estimate and
                    ///< ReserveGroups.
-  kSelect,         ///< Top level, table queries: row filter, key encoding and
-                   ///< key range.
-  kGather,         ///< Top level, table queries: measure-column gathers.
-  kAssemble,       ///< Top level, table queries: aligning the per-aggregate
-                   ///< runs, decoding keys and ordering groups.
+  kSelect,         ///< Top level, table queries: row filter (the selection
+                   ///< vector), key encoding and key range.
+  kAssemble,       ///< Top level, table queries: ordering the groups by key,
+                   ///< decoding keys and reading out the member values.
   kUnattributed,   ///< Top level: wall time no other top-level phase covers.
 };
-inline constexpr size_t kNumStatPhases = 10;
+inline constexpr size_t kNumStatPhases = 9;
 
 constexpr bool IsTopLevelPhase(StatPhase phase) {
   return phase != StatPhase::kPartition && phase != StatPhase::kSort &&
@@ -73,7 +72,7 @@ constexpr bool IsTopLevelPhase(StatPhase phase) {
 /// Monotonic counters. kMaxMerged counters merge by max, the rest by sum.
 enum class StatCounter : size_t {
   kRowsBuilt = 0,      ///< Input rows consumed.
-  kGroupsOut,          ///< Result rows produced.
+  kGroupsOut,          ///< Groups the operator emitted.
   kHashEntries,        ///< Entries resident in hash structures.
   kRehashes,           ///< Table growth/rebuild events.
   kProbeTotal,         ///< Sum of probe distances (open addressing).

@@ -48,10 +48,10 @@ std::vector<Migratable<Aggregate>> AllMigratables(size_t expected,
       {"tree", std::make_unique<TreeVectorAggregator<ArtTree, Aggregate>>()});
   out.push_back({"local-central",
                  std::make_unique<LocalPartitionAggregator<Aggregate>>(
-                     expected, exec, LocalMergeMode::kCentral)});
+                     expected, exec, Aggregate{}, LocalMergeMode::kCentral)});
   out.push_back({"local-tree",
                  std::make_unique<LocalPartitionAggregator<Aggregate>>(
-                     expected, exec, LocalMergeMode::kTree)});
+                     expected, exec, Aggregate{}, LocalMergeMode::kTree)});
   out.push_back({"radix", std::make_unique<RadixPartitionAggregator<Aggregate>>(
                               expected, exec)});
   out.push_back({"shared-map",

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/composite_aggregate.h"
 #include "core/engine.h"
 #include "data/dataset.h"
 #include "exec/executor.h"
@@ -123,6 +124,60 @@ INSTANTIATE_TEST_SUITE_P(AllLabels, ExtraFunctions,
                          ::testing::ValuesIn(SerialLabels()));
 
 // --- Multiple Build calls accumulate ----------------------------------------
+
+// A composite keeps one word per distinct fold: SUM and AVG of one column
+// share its sum, and COUNT and AVG share the row count. A holistic member
+// makes the groups keep row ids, and every member is then evaluated over
+// them.
+TEST(CompositeAggregateTest, MembersShareWordsAndHolisticOnesBufferRows) {
+  const std::vector<uint64_t> x = {5, 9, 2, 7};
+  CompositeOutput output;
+  const CompositeAggregate words({{AggregateFunction::kSum, x.data()},
+                                  {AggregateFunction::kAverage, x.data()},
+                                  {AggregateFunction::kCount, nullptr},
+                                  {AggregateFunction::kMin, x.data()}},
+                                 &output);
+  EXPECT_FALSE(words.buffers_rows());
+  EXPECT_EQ(words.num_words(), 3u);  // sum(x), count, complemented min(x).
+  CompositeAggregate::State left;
+  CompositeAggregate::State right;
+  words.Update(left, 0);
+  words.Update(left, 1);
+  words.Update(right, 2);
+  words.Merge(left, right);
+  EXPECT_EQ(words.Finalize(left), 0.0);  // The group's row in the output.
+  ASSERT_EQ(output.num_groups(), 1u);
+  EXPECT_EQ(output.Value(0, 0), 16.0);
+  EXPECT_EQ(output.Value(0, 1), 16.0 / 3.0);
+  EXPECT_EQ(output.Value(0, 2), 3.0);
+  EXPECT_EQ(output.Value(0, 3), 2.0);
+
+  CompositeOutput rows_output;
+  const CompositeAggregate rows({{AggregateFunction::kMedian, x.data()},
+                                 {AggregateFunction::kMax, x.data()}},
+                                &rows_output);
+  EXPECT_TRUE(rows.buffers_rows());
+  CompositeAggregate::State state;
+  for (const uint64_t row : {0, 1, 3}) rows.Update(state, row);
+  EXPECT_EQ(rows.Finalize(state), 0.0);
+  EXPECT_EQ(rows_output.Value(0, 0), 7.0);
+  EXPECT_EQ(rows_output.Value(0, 1), 9.0);
+
+  // Four distinct words, as the repo's TPC-H Q1 folds, fill the inline
+  // words exactly; a fifth makes the groups keep row ids.
+  const std::vector<uint64_t> y = {1, 4, 6, 3};
+  std::vector<CompositeMember> four = {{AggregateFunction::kSum, x.data()},
+                                       {AggregateFunction::kSum, y.data()},
+                                       {AggregateFunction::kMax, x.data()},
+                                       {AggregateFunction::kCount, nullptr}};
+  CompositeOutput four_output;
+  const CompositeAggregate full(four, &four_output);
+  EXPECT_FALSE(full.buffers_rows());
+  EXPECT_EQ(full.num_words(), CompositeAggregate::kMaxWords);
+  four.push_back({AggregateFunction::kMin, y.data()});
+  CompositeOutput five_output;
+  EXPECT_TRUE(CompositeAggregate(four, &five_output).buffers_rows());
+}
 
 TEST(AggregatorContractTest, IncrementalBuildAccumulates) {
   const std::vector<uint64_t> part1 = {1, 2, 3, 1};

@@ -267,8 +267,8 @@ TEST(QueryStatsEndToEndTest, TableQueryPhasesSumToItsWall) {
   const TableQueryResult result = ExecuteTableQuery(table, q1, "Hash_LP");
   outer.Stop();
   ExpectWallAccounted(result.stats, outer);
-  for (const StatPhase phase : {StatPhase::kSelect, StatPhase::kGather,
-                                StatPhase::kAssemble, StatPhase::kSetup}) {
+  for (const StatPhase phase :
+       {StatPhase::kSelect, StatPhase::kAssemble, StatPhase::kSetup}) {
     EXPECT_GT(result.stats.PhaseCycles(phase), 0u) << StatPhaseName(phase);
   }
 }

@@ -222,19 +222,22 @@ TEST(TableExecTest, AutoLabelSeesKeyWidth) {
   EXPECT_EQ(ExecuteTableQuery(wide, query, "auto").label, "Introsort");
 }
 
-TEST(TableExecTest, StatsAccumulateAcrossAggregates) {
+// The four aggregates fold into one composite, so the query builds once:
+// every filtered row is consumed once, and the operator emits each group
+// once.
+TEST(TableExecTest, OneBuildPerQuery) {
   const Table table = GenerateLineitem(2000, 8);
   const TableQueryResult result =
       ExecuteTableQuery(table, Q1Query(), "Hash_LP");
-  // Four aggregate runs, each consuming every filtered row.
-  EXPECT_EQ(result.stats.Get(StatCounter::kRowsBuilt),
-            4 * result.rows_scanned);
+  EXPECT_EQ(result.stats.Get(StatCounter::kRowsBuilt), result.rows_scanned);
+  EXPECT_EQ(result.stats.Get(StatCounter::kGroupsOut),
+            result.group_keys.size());
   EXPECT_GT(result.stats.TotalCycles(), 0u);
 }
 
 // Q1's key packs into 3 bits (2 for 3 return flags, 1 for 2 line
-// statuses), so each of its four Hash_LP runs gets a table for 8 groups,
-// not one for the ~190k rows fed.
+// statuses), so its Hash_LP run gets a table for 8 groups, not one for the
+// ~190k rows fed.
 TEST(TableExecTest, Q1SizesEachOperatorToTheCodecGroupBound) {
   const Table table = GenerateLineitem(200000, 10);
   const TableQueryResult result =
@@ -257,8 +260,9 @@ KeyFieldValue FieldAt(const Column& column, size_t row) {
   return field;
 }
 
-/// Engine-free answer to a query over u64/string key columns: the groups in
-/// canonical (tuple) order and, per aggregate, their values.
+/// Engine-free answer to a query over u64/string key columns, its filter
+/// and its key range: the groups in canonical (tuple) order and, per
+/// aggregate, their values.
 struct TableReference {
   std::vector<DecodedKey> group_keys;
   std::vector<VectorResult> columns;
@@ -276,6 +280,10 @@ TableReference ReferenceFor(const Table& table, const TableQuery& query) {
     DecodedKey key;
     for (const std::string& name : query.group_by) {
       key.push_back(FieldAt(table.ColumnNamed(name), row));
+    }
+    if (query.has_key_range &&
+        (key[0] < query.key_range_lo || query.key_range_hi < key[0])) {
+      continue;
     }
     rank_of[key] = 0;
     rows.push_back(row);
@@ -301,6 +309,37 @@ TableReference ReferenceFor(const Table& table, const TableQuery& query) {
                                                    spec.function));
   }
   return ref;
+}
+
+/// Runs `query` under every label, at one thread and, for parallel labels,
+/// at four, and compares each result with the reference.
+void ExpectEveryLabelMatchesReference(const Table& table,
+                                      const TableQuery& query,
+                                      const std::string& name) {
+  const TableReference ref = ReferenceFor(table, query);
+  for (const LabelInfo& info : AllLabels()) {
+    for (const int threads : {1, 4}) {
+      if (threads > 1 && !info.parallel) continue;
+      const std::string context =
+          name + " " + info.name + "@" + std::to_string(threads);
+      const TableQueryResult result =
+          ExecuteTableQuery(table, query, info.name, threads);
+      // One build: each selected row is consumed once.
+      EXPECT_EQ(result.stats.Get(StatCounter::kRowsBuilt), result.rows_scanned)
+          << context;
+      ASSERT_EQ(result.group_keys, ref.group_keys) << context;
+      ASSERT_EQ(result.aggregate_columns.size(), query.aggregates.size())
+          << context;
+      for (size_t a = 0; a < query.aggregates.size(); ++a) {
+        ASSERT_EQ(result.aggregate_columns[a].size(), ref.columns[a].size())
+            << context;
+        for (size_t g = 0; g < ref.columns[a].size(); ++g) {
+          EXPECT_EQ(result.aggregate_columns[a][g], ref.columns[a][g].value)
+              << context << " aggregate " << a << " group " << g;
+        }
+      }
+    }
+  }
 }
 
 /// Groups (flag, bucket) that take every one of the codec's 2^(2 + 3) key
@@ -340,7 +379,7 @@ TableQuery BoundFillingQuery(Table& table) {
 
 /// Two wide u64 key columns: their bound (2^(25 + 31) keys) is far above
 /// the 9 groups, so the operators are sized to the rows fed. Filtered, so
-/// the measure columns are gathered.
+/// the measures are read through a selection vector with gaps.
 TableQuery SparseWideKeyQuery(Table& table) {
   std::vector<uint64_t> a_values;
   std::vector<uint64_t> b_values;
@@ -387,26 +426,98 @@ TEST(TableExecTest, EveryLabelMatchesTheReferenceWhenSizedToTheGroupBound) {
     const size_t bound =
         PackedKeyCodec::TryBuild(*table, query->group_by)->max_groups();
     ASSERT_EQ(bound, query == &filling_query ? size_t{32} : size_t{1} << 56);
-    for (const LabelInfo& info : AllLabels()) {
-      for (const int threads : {1, 4}) {
-        if (threads > 1 && !info.parallel) continue;
-        const std::string context = std::string(info.name) + "@" +
-                                    std::to_string(threads) + " " +
-                                    query->group_by[0];
-        const TableQueryResult result =
-            ExecuteTableQuery(*table, *query, info.name, threads);
-        ASSERT_EQ(result.group_keys, ref.group_keys) << context;
-        for (size_t a = 0; a < query->aggregates.size(); ++a) {
-          ASSERT_EQ(result.aggregate_columns[a].size(), ref.columns[a].size())
-              << context;
-          for (size_t g = 0; g < ref.columns[a].size(); ++g) {
-            EXPECT_EQ(result.aggregate_columns[a][g], ref.columns[a][g].value)
-                << context << " aggregate " << a << " group " << g;
-          }
-        }
-      }
-    }
+    ExpectEveryLabelMatchesReference(*table, *query, query->group_by[0]);
   }
+}
+
+/// Keys (flag, bucket) in 4 × 6 groups over 3000 rows, measures x and y, and
+/// a filter column f in [0, 100).
+Table CompositeEdgeTable() {
+  StringDict dict;
+  const std::vector<uint32_t> codes = {dict.Intern("A"), dict.Intern("N"),
+                                       dict.Intern("O"), dict.Intern("R")};
+  std::vector<uint32_t> flags;
+  std::vector<uint64_t> buckets;
+  std::vector<uint64_t> x;
+  std::vector<uint64_t> y;
+  std::vector<uint64_t> f;
+  Rng rng(Rng::kDefaultSeed + 23);
+  for (int i = 0; i < 3000; ++i) {
+    flags.push_back(codes[rng.NextBounded(4)]);
+    buckets.push_back(100 + rng.NextBounded(6));
+    x.push_back(rng.NextBounded(1000000));
+    y.push_back(rng.NextBounded(7));
+    f.push_back(rng.NextBounded(100));
+  }
+  Table table;
+  table.AddColumn("flag", Column::String(std::move(dict), std::move(flags)));
+  table.AddColumn("bucket", Column::U64(std::move(buckets)));
+  table.AddColumn("x", Column::U64(std::move(x)));
+  table.AddColumn("y", Column::U64(std::move(y)));
+  table.AddColumn("f", Column::U64(std::move(f)));
+  return table;
+}
+
+/// All seven functions in one query, several of them over one column.
+TableQuery AllFunctionsQuery() {
+  TableQuery query;
+  query.group_by = {"flag", "bucket"};
+  query.aggregates = {{AggregateFunction::kSum, "x", "sum_x"},
+                      {AggregateFunction::kAverage, "x", "avg_x"},
+                      {AggregateFunction::kMin, "x", "min_x"},
+                      {AggregateFunction::kMax, "x", "max_x"},
+                      {AggregateFunction::kMedian, "x", "median_x"},
+                      {AggregateFunction::kMode, "y", "mode_y"},
+                      {AggregateFunction::kCount, "", "n"}};
+  query.has_filter = true;
+  query.filter_column = "f";
+  query.filter_max = 69;
+  return query;
+}
+
+// The composite's edge cases through every operator family: holistic and
+// fixed-word members sharing a column, a COUNT-only query, no filter (with
+// exactly the fixed words a group holds inline), a filter that keeps no row,
+// a key range, and one fixed word more than a group holds inline.
+TEST(TableExecTest, EveryLabelFoldsEveryQueryShapeInOnePass) {
+  const Table table = CompositeEdgeTable();
+  ExpectEveryLabelMatchesReference(table, AllFunctionsQuery(),
+                                   "all-functions");
+
+  TableQuery count_only = AllFunctionsQuery();
+  count_only.aggregates = {{AggregateFunction::kCount, "", "n"}};
+  ExpectEveryLabelMatchesReference(table, count_only, "count-only");
+
+  TableQuery unfiltered = AllFunctionsQuery();
+  unfiltered.has_filter = false;
+  unfiltered.aggregates = {{AggregateFunction::kMax, "y", "max_y"},
+                           {AggregateFunction::kSum, "x", "sum_x"},
+                           {AggregateFunction::kCount, "", "n"},
+                           {AggregateFunction::kMin, "y", "min_y"}};
+  ExpectEveryLabelMatchesReference(table, unfiltered, "unfiltered");
+
+  TableQuery keeps_nothing = AllFunctionsQuery();
+  keeps_nothing.filter_column = "bucket";
+  keeps_nothing.filter_max = 99;  // Buckets start at 100.
+  ExpectEveryLabelMatchesReference(table, keeps_nothing, "empty-filter");
+  EXPECT_TRUE(ExecuteTableQuery(table, keeps_nothing, "Hash_LP")
+                  .group_keys.empty());
+
+  TableQuery ranged = AllFunctionsQuery();
+  ranged.has_key_range = true;
+  ranged.key_range_lo = {ColumnType::kString, 0, 0, "N"};
+  ranged.key_range_hi = {ColumnType::kString, 0, 0, "O"};
+  ExpectEveryLabelMatchesReference(table, ranged, "key-range");
+
+  // Five distinct fixed words (four folds plus the row count), one more
+  // than a group holds inline, so the groups keep row ids instead.
+  TableQuery wide = AllFunctionsQuery();
+  wide.aggregates = {{AggregateFunction::kSum, "x", "sum_x"},
+                     {AggregateFunction::kSum, "y", "sum_y"},
+                     {AggregateFunction::kMin, "x", "min_x"},
+                     {AggregateFunction::kMax, "y", "max_y"},
+                     {AggregateFunction::kCount, "", "n"}};
+  ExpectEveryLabelMatchesReference(table, wide, "wide-words");
 }
 
 TEST(TableExecDeathTest, RangeOverDictCodecAborts) {

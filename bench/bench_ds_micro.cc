@@ -7,13 +7,15 @@
 // iterate cycle counts, matching the Figure 3 stacked bars.
 //
 // On top of the paper's figure, a SIMD-lane section builds the two probed
-// hash maps with each SimdOps lane pinned (LinearProbingMap<..., ScalarOps>
-// etc.) so the probe-loop vectorization shows up at the data-structure
-// level, not just in bench_simd's kernel loops. Everything is also recorded
-// to BENCH_ds_micro.json for tools/bench_compare.py.
+// hash maps with the scalar lane pinned (LinearProbingMap<..., ScalarOps>)
+// and with the compiled lane (simd::DefaultOps), so the probe-loop
+// vectorization shows up at the data-structure level, not just in
+// bench_simd's kernel loops. Everything is also recorded to
+// BENCH_ds_micro.json for tools/bench_compare.py.
 
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench_common.h"
@@ -60,6 +62,15 @@ void RunLaneMap(BenchReport& report, const std::string& map_name,
   }
 }
 
+/// Hash_LP and Hash_Dense with the probe kernels of lane `Ops`.
+template <simd::SimdOps Ops>
+void RunLaneMaps(BenchReport& report, const std::vector<uint64_t>& keys) {
+  RunLaneMap<LinearProbingMap<uint64_t, NullTracer, ArenaAllocator, Ops>>(
+      report, "Hash_LP", Ops::Name(), keys);
+  RunLaneMap<DenseMap<uint64_t, NullTracer, Ops>>(report, "Hash_Dense",
+                                                  Ops::Name(), keys);
+}
+
 int Run(int argc, char** argv) {
   CliFlags flags(argc, argv);
   const uint64_t records =
@@ -79,7 +90,7 @@ int Run(int argc, char** argv) {
 
   BenchReport report("ds_micro");
   report.SetParam("records", records);
-  report.SetParam("active_lane", simd::DispatchOps::Name());
+  report.SetParam("active_lane", simd::DefaultOps::Name());
 
   for (const std::string& label : labels) {
     auto aggregator =
@@ -104,16 +115,10 @@ int Run(int argc, char** argv) {
   // SIMD-lane ablation of the probed maps: same keys, lane pinned per run.
   std::printf("# lane-pinned probe maps (series,build_cycles,lookup_cycles,"
               "build_ms,lookup_ms)\n");
-  using LpScalar =
-      LinearProbingMap<uint64_t, NullTracer, ArenaAllocator, simd::ScalarOps>;
-  using LpDispatch = LinearProbingMap<uint64_t, NullTracer, ArenaAllocator,
-                                      simd::DispatchOps>;
-  using DenseScalar = DenseMap<uint64_t, NullTracer, simd::ScalarOps>;
-  using DenseDispatch = DenseMap<uint64_t, NullTracer, simd::DispatchOps>;
-  RunLaneMap<LpScalar>(report, "Hash_LP", "scalar", keys);
-  RunLaneMap<LpDispatch>(report, "Hash_LP", "dispatch", keys);
-  RunLaneMap<DenseScalar>(report, "Hash_Dense", "scalar", keys);
-  RunLaneMap<DenseDispatch>(report, "Hash_Dense", "dispatch", keys);
+  RunLaneMaps<simd::ScalarOps>(report, keys);
+  if constexpr (!std::is_same_v<simd::DefaultOps, simd::ScalarOps>) {
+    RunLaneMaps<simd::DefaultOps>(report, keys);
+  }
 
   report.WriteFile();
   return 0;

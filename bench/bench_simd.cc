@@ -1,21 +1,20 @@
 // SIMD lane microbenchmark: each SimdOps kernel timed per lane.
 //
 // The lane ablation behind docs/simd.md: every kernel from util/simd.h runs
-// over an in-cache workload under each lane the machine supports (scalar,
-// sse42, avx2) plus the runtime dispatcher, so the report shows (a) what
-// each vector kernel buys over the scalar loop it replaced and (b) what the
-// dispatch indirection costs on top of the native lane. The headline series
-// is the Swiss-table control-byte probe: CI gates
-// `tag_probe16/avx2 >= 1.5x tag_probe16/scalar` via
-// tools/bench_compare.py --speedup-gate.
+// over an in-cache workload under the scalar lane and under the compiled
+// lane (simd::DefaultOps; once when the build has no SSE2 and the two are
+// the same lane), so the report shows what each vector kernel buys over the
+// scalar loop it replaced. The headline series is the Swiss-table
+// control-byte probe: CI gates `tag_probe16/sse2 >= 1.5x
+// tag_probe16/scalar` via tools/bench_compare.py --speedup-gate.
 //
 // Workloads fit in L1/L2 by construction (16 KiB control array, 4 KiB node
 // pool, 128 KiB bucket pool) so the numbers measure compare throughput, not
 // memory latency. Output: CSV rows to stdout + BENCH_simd.json.
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench_common.h"
@@ -32,7 +31,6 @@ inline void Consume(uint64_t value) { asm volatile("" : : "r"(value)); }
 constexpr size_t kCtrlGroups = 1024;  // 16 KiB control array (L1-resident).
 constexpr size_t kNodePool = 256;     // 256 x 16-byte node key arrays, 4 KiB.
 constexpr size_t kBucketPool = 4096;  // 4-slot cuckoo buckets, 128 KiB.
-constexpr size_t kHashBuffer = 8192;  // Batch-hash working set, 64 KiB x2.
 
 /// Pre-generated probe workload shared by every lane, so series differ only
 /// in the kernel implementation.
@@ -46,8 +44,6 @@ struct Workload {
   std::vector<uint64_t> buckets;    // kBucketPool * 4 slot keys.
   std::vector<uint32_t> bucket_off;
   std::vector<uint64_t> bucket_key;
-  std::vector<uint64_t> hash_in;
-  std::vector<uint64_t> hash_out;
 };
 
 Workload MakeWorkload(size_t probes, Rng& rng) {
@@ -87,9 +83,6 @@ Workload MakeWorkload(size_t probes, Rng& rng) {
                                ? w.buckets[bucket + rng.NextBounded(4)]
                                : rng.Next());
   }
-  w.hash_in.resize(kHashBuffer);
-  for (uint64_t& key : w.hash_in) key = rng.Next();
-  w.hash_out.resize(kHashBuffer);
   return w;
 }
 
@@ -104,11 +97,9 @@ BenchTiming BestOf(int reps, const std::function<void()>& fn) {
   return best;
 }
 
-// `lane` names the series explicitly: DispatchOps::Name() resolves to the
-// selected lane, which would collide with that lane's own native series.
 template <simd::SimdOps Ops>
-void RunLane(BenchReport& report, Workload& w, size_t probes, int reps,
-             const std::string& lane) {
+void RunLane(BenchReport& report, const Workload& w, size_t probes,
+             int reps) {
   struct Kernel {
     const char* name;
     std::function<void()> body;
@@ -158,18 +149,10 @@ void RunLane(BenchReport& report, Workload& w, size_t probes, int reps,
          }
          Consume(sink);
        }},
-      {"hash_batch",
-       [&] {
-         for (size_t done = 0; done < probes; done += kHashBuffer) {
-           const size_t n = std::min(kHashBuffer, probes - done);
-           Ops::HashBatch(w.hash_in.data(), n, w.hash_out.data());
-         }
-         Consume(w.hash_out[0]);
-       }},
   };
   for (const Kernel& kernel : kernels) {
     const BenchTiming best = BestOf(reps, kernel.body);
-    const std::string series = std::string(kernel.name) + "/" + lane;
+    const std::string series = std::string(kernel.name) + "/" + Ops::Name();
     std::printf("%s,%llu,%.3f,%.2f\n", series.c_str(),
                 static_cast<unsigned long long>(best.cycles), best.millis,
                 static_cast<double>(best.cycles) /
@@ -197,20 +180,12 @@ int Run(int argc, char** argv) {
   BenchReport report("simd");
   report.SetParam("probes", static_cast<uint64_t>(probes));
   report.SetParam("reps", static_cast<uint64_t>(reps));
-  report.SetParam("active_lane", simd::DispatchOps::Name());
+  report.SetParam("active_lane", simd::DefaultOps::Name());
 
-  RunLane<simd::ScalarOps>(report, w, probes, reps, "scalar");
-  if (simd::SimdLaneSupported(simd::SimdLane::kSse42)) {
-    RunLane<simd::Sse42Ops>(report, w, probes, reps, "sse42");
-  } else {
-    std::printf("# sse42 lane unsupported on this CPU: series skipped\n");
+  RunLane<simd::ScalarOps>(report, w, probes, reps);
+  if constexpr (!std::is_same_v<simd::DefaultOps, simd::ScalarOps>) {
+    RunLane<simd::DefaultOps>(report, w, probes, reps);
   }
-  if (simd::SimdLaneSupported(simd::SimdLane::kAvx2)) {
-    RunLane<simd::Avx2Ops>(report, w, probes, reps, "avx2");
-  } else {
-    std::printf("# avx2 lane unsupported on this CPU: series skipped\n");
-  }
-  RunLane<simd::DispatchOps>(report, w, probes, reps, "dispatch");
 
   report.WriteFile();
   return 0;

@@ -43,13 +43,12 @@ namespace memagg {
 /// Thread-safe operations: Upsert, Contains, WithValue. Iteration (ForEach)
 /// and MemoryBytes must not race with writers. `Tracer` reports bucket
 /// accesses (see util/tracer.h); tracing is meaningful for single-threaded
-/// use. `Ops` selects the bucket-scan kernel lane: one 4-wide 64-bit
-/// compare (Ops::MatchKey4) covers a whole bucket, for lookups and for
-/// free-slot searches (match against kEmptyKey). Scans run under the same
-/// stripe locks as before — vectorization changes the compare width, not
-/// the locking protocol.
+/// use. `Ops` selects the bucket-scan kernel lane (default: the compiled
+/// lane, simd::DefaultOps; tests pin simd::ScalarOps): Ops::MatchKey4 scans
+/// a whole 4-slot bucket, for lookups and for free-slot searches (match
+/// against kEmptyKey), under the bucket's stripe lock.
 template <typename Value, MemoryTracer Tracer = NullTracer,
-          simd::SimdOps Ops = simd::DispatchOps>
+          simd::SimdOps Ops = simd::DefaultOps>
 class CuckooMap {
  public:
   using mapped_type = Value;

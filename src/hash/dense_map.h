@@ -36,10 +36,11 @@ namespace memagg {
 /// Quadratic-probing dense hash map from uint64_t keys to Value, with
 /// SIMD-probed control bytes. Keys must not be kEmptyKey (checked loudly).
 /// Not thread-safe. `Tracer` reports every byte range touched (see
-/// util/tracer.h); `Ops` selects the probe kernel lane (default: runtime
-/// dispatch, pin simd::ScalarOps etc. for ablation).
+/// util/tracer.h); `Ops` selects the probe kernel lane (default: the
+/// compiled lane, simd::DefaultOps; tests and benchmarks pin
+/// simd::ScalarOps).
 template <typename Value, MemoryTracer Tracer = NullTracer,
-          simd::SimdOps Ops = simd::DispatchOps>
+          simd::SimdOps Ops = simd::DefaultOps>
 class DenseMap {
  public:
   using mapped_type = Value;

@@ -3,13 +3,9 @@
 // that power-of-two tables can mask the low bits, and is invertible (a
 // bijection), so distinct keys never collide before the table reduction.
 //
-// The scalar mix itself lives in util/simd.h (simd::HashMix64) so the SIMD
-// lanes can vectorize the identical constants (SimdOps::HashBatch);
-// HashKey delegates to it. HashKeyAlt stays a hand-written scalar on
-// purpose: cuckoo hashing needs its two hash families independent, and
-// keeping Alt out of the shared-mixer path means a future batch-hash
-// rewrite cannot quietly collapse them into one family
-// (tests/hash_fn_test.cc pins the independence statistically).
+// HashKeyAlt is a second, independent mixer with its own constants: cuckoo
+// hashing needs its two hash families independent (tests/hash_fn_test.cc
+// pins the independence statistically, and pins HashKey's values).
 
 #ifndef MEMAGG_HASH_HASH_FN_H_
 #define MEMAGG_HASH_HASH_FN_H_
@@ -17,15 +13,21 @@
 #include <cstdint>
 
 #include "util/encoded_key.h"
-#include "util/simd.h"
 
 namespace memagg {
 
 /// Mixes `key` into a uniformly distributed 64-bit hash.
-inline uint64_t HashKey(EncodedKey key) { return simd::HashMix64(key); }
+inline uint64_t HashKey(EncodedKey key) {
+  uint64_t h = key;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
 
 /// A second, independent hash for cuckoo hashing's alternate table.
-/// Deliberately NOT routed through simd::HashMix64 — see the header comment.
 inline uint64_t HashKeyAlt(EncodedKey key) {
   uint64_t h = key + 0x9e3779b97f4a7c15ULL;
   h ^= h >> 30;

@@ -60,10 +60,11 @@ enum class SizingPolicy {
 /// Keys must not be kEmptyKey (checked loudly). Not thread-safe. `Tracer`
 /// reports every byte range touched (see util/tracer.h); `Alloc` provides
 /// the slot and control arrays; `Ops` selects the probe kernel lane
-/// (default: runtime dispatch, pin simd::ScalarOps etc. for ablation).
+/// (default: the compiled lane, simd::DefaultOps; tests and benchmarks pin
+/// simd::ScalarOps).
 template <typename Value, MemoryTracer Tracer = NullTracer,
           AllocatorPolicy Alloc = ArenaAllocator,
-          simd::SimdOps Ops = simd::DispatchOps>
+          simd::SimdOps Ops = simd::DefaultOps>
 class LinearProbingMap {
  public:
   using mapped_type = Value;

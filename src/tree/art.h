@@ -8,11 +8,11 @@
 // levels), not on the number of keys, and no rebalancing is ever required —
 // the radix-tree properties the paper contrasts with comparison trees.
 //
-// Node16 and Node32 keep their key arrays sorted and search them with one
-// 16/32-wide SIMD byte compare (util/simd.h); Node32 exists because a
-// single 32-wide compare makes fan-outs 17..32 cheaper than the Node48
-// indirection that used to absorb them (cf. Leis et al.'s SSE Node16
-// search — the 256-bit lane extends the same trick one size up).
+// Node16 and Node32 keep their key arrays sorted and search them with
+// 16-wide SIMD byte compares (util/simd.h), one for Node16 and two for
+// Node32; Node32 exists because two compares make fan-outs 17..32 cheaper
+// than the Node48 indirection that used to absorb them (cf. Leis et al.'s
+// SSE Node16 search, extended one size up).
 //
 // Insert-only (aggregation workloads never erase), not thread-safe.
 
@@ -39,11 +39,11 @@ namespace memagg {
 /// the default arena allocator recycles outgrown inner nodes (Node4 →
 /// Node16 → Node32 → Node48 → Node256 leaves the smaller shell on a
 /// freelist for the next split) and releases everything wholesale at
-/// destruction. `Ops` selects the node-scan kernel lane (default: runtime
-/// dispatch, pin simd::ScalarOps etc. for ablation).
+/// destruction. `Ops` selects the node-scan kernel lane (default: the
+/// compiled lane, simd::DefaultOps; tests pin simd::ScalarOps).
 template <typename Value, MemoryTracer Tracer = NullTracer,
           AllocatorPolicy Alloc = ArenaAllocator,
-          simd::SimdOps Ops = simd::DispatchOps>
+          simd::SimdOps Ops = simd::DefaultOps>
 class ArtTree {
  public:
   using mapped_type = Value;

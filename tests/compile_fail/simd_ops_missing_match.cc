@@ -9,10 +9,8 @@
 namespace memagg {
 
 struct HalfLane {
-  static constexpr simd::SimdLane Lane() { return simd::SimdLane::kScalar; }
   static constexpr const char* Name() { return "half"; }
-  // Missing: MatchByteTag/MatchEmpty/FindByte16/FindByte32/MatchKey4/
-  // HashBatch.
+  // Missing: MatchByteTag/MatchEmpty/FindByte16/FindByte32/MatchKey4.
 };
 
 using Broken = DenseMap<uint64_t, NullTracer, HalfLane>;

@@ -312,7 +312,7 @@ TEST(ProbeLaneTest, LinearProbingScalarLane) {
   FillAndCheck(map);
 }
 
-TEST(ProbeLaneTest, LinearProbingDispatchLanePrimeSizing) {
+TEST(ProbeLaneTest, LinearProbingDefaultLanePrimeSizing) {
   // Prime capacities exercise the modular mirror tail and non-pow2 wrap.
   LinearProbingMap<uint64_t> map(3, SizingPolicy::kPrime);
   FillAndCheck(map);

@@ -7,19 +7,16 @@
 
 namespace memagg {
 
-// Every shipped lane — and the runtime dispatcher — models SimdOps, so any
-// container's Ops parameter accepts all four interchangeably.
+// The scalar oracle and the compiled lane both model SimdOps, so any
+// container's Ops parameter accepts either.
 static_assert(simd::SimdOps<simd::ScalarOps>);
-static_assert(simd::SimdOps<simd::Sse42Ops>);
-static_assert(simd::SimdOps<simd::Avx2Ops>);
-static_assert(simd::SimdOps<simd::DispatchOps>);
+static_assert(simd::SimdOps<simd::DefaultOps>);
 
 // Negative modeling: a lane missing a kernel, or returning the wrong mask
 // width, is not a SimdOps.
 namespace {
 
 struct MissingMatch {
-  static constexpr simd::SimdLane Lane() { return simd::SimdLane::kScalar; }
   static constexpr const char* Name() { return "broken"; }
   // Missing: MatchByteTag and the rest of the kernel vocabulary.
 };

@@ -6,24 +6,40 @@
 
 #include <cstdint>
 #include <map>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "mem/allocator.h"
 #include "tree/art.h"
 #include "tree/btree.h"
 #include "tree/judy.h"
 #include "tree/ttree.h"
 #include "util/rng.h"
+#include "util/simd.h"
+#include "util/tracer.h"
 
 namespace memagg {
 namespace {
 
-using TreeTypes = ::testing::Types<ArtTree<uint64_t>, JudyArray<uint64_t>,
-                                   BTree<uint64_t>, TTree<uint64_t>>;
+// The scalar-pinned ART runs the same cases through the reference
+// Node16/Node32 scans that the default ART runs through the compiled lane.
+using ArtScalar =
+    ArtTree<uint64_t, NullTracer, ArenaAllocator, simd::ScalarOps>;
+using TreeTypes =
+    ::testing::Types<ArtTree<uint64_t>, ArtScalar, JudyArray<uint64_t>,
+                     BTree<uint64_t>, TTree<uint64_t>>;
 
 template <typename T>
 class TreeTest : public ::testing::Test {};
+
+/// `Tree` with std::vector<uint64_t> values and its other parameters kept.
+template <typename Tree>
+struct WithVectorValues;
+template <template <typename...> class Tree, typename Value,
+          typename... Rest>
+struct WithVectorValues<Tree<Value, Rest...>> {
+  using type = Tree<std::vector<uint64_t>, Rest...>;
+};
 
 TYPED_TEST_SUITE(TreeTest, TreeTypes);
 
@@ -168,17 +184,7 @@ TYPED_TEST(TreeTest, RangeScanFullKeySpace) {
 
 TYPED_TEST(TreeTest, VectorValuesSupported) {
   // Holistic aggregation buffers values per group.
-  using TreeOfVectors = typename std::conditional<
-      std::is_same<TypeParam, ArtTree<uint64_t>>::value,
-      ArtTree<std::vector<uint64_t>>,
-      typename std::conditional<
-          std::is_same<TypeParam, JudyArray<uint64_t>>::value,
-          JudyArray<std::vector<uint64_t>>,
-          typename std::conditional<
-              std::is_same<TypeParam, BTree<uint64_t>>::value,
-              BTree<std::vector<uint64_t>>,
-              TTree<std::vector<uint64_t>>>::type>::type>::type;
-  TreeOfVectors tree;
+  typename WithVectorValues<TypeParam>::type tree;
   Rng rng(15);
   std::map<uint64_t, std::vector<uint64_t>> reference;
   for (int i = 0; i < 30000; ++i) {

@@ -35,13 +35,14 @@ Usage:
 
     bench_compare.py --speedup-gate BENCH_simd.json \
         --baseline-series tag_probe16/scalar \
-        --candidate-series tag_probe16/avx2 [--min-speedup 1.5]
+        --candidate-series tag_probe16/sse2 [--min-speedup 1.5]
         Within ONE report, require candidate to be at least --min-speedup
         times faster than baseline at every shared x (ratio =
         baseline/candidate on --metric, default cycles for this mode).
         A missing baseline series is an error; a missing candidate series
-        warns loudly and passes, so the gate is portable to machines
-        without the vector lane (the bench skips unsupported lanes).
+        warns loudly and passes, so the gate is portable to builds
+        without the vector lane (a build without SSE2 compiles only the
+        scalar lane, and bench_simd writes only its series).
 """
 
 import argparse
@@ -269,10 +270,10 @@ def speedup_gate(path, baseline_series, candidate_series, metric,
               "is broken)", file=sys.stderr)
         return 1
     if not cand:
-        # The bench skips lanes the machine cannot run, so a missing
-        # candidate is a capability gap, not a regression.
+        # A build without the vector lane writes no series for it, so a
+        # missing candidate is a capability gap, not a regression.
         print(f"WARNING: candidate series '{candidate_series}' not in "
-              f"{path} — lane unsupported on this machine, speedup gate "
+              f"{path} — lane not compiled into the bench, speedup gate "
               "SKIPPED (not enforced)")
         return 0
 

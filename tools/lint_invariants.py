@@ -28,9 +28,10 @@ the repo-specific discipline that neither can express:
                        and `= delete`d members are fine.
   raw-simd-intrinsic   x86 vector intrinsics (_mm*_*, __m128/__m256/__m512)
                        may only appear under src/util/simd* — every other
-                       file goes through the SimdOps lanes so the scalar/
-                       sse42/avx2 ablation and the -mno-avx2 CI job stay
-                       meaningful. _mm_pause in spinlock.h carries a waiver:
+                       file goes through the SimdOps lanes, so each vector
+                       kernel has a ScalarOps twin that the lane-equivalence
+                       suite checks it against and that a build without
+                       SSE2 runs. _mm_pause in spinlock.h carries a waiver:
                        it is a scheduling hint, not a data kernel.
   raw-key-type         key-typed declarations in the key-consuming layers
                        (src/hash/, src/tree/, src/core/, bench/) must use
@@ -258,7 +259,7 @@ def check_raw_simd_intrinsic(relpath, stripped):
             line_of(stripped, match.start()),
             "raw-simd-intrinsic",
             f"raw vector intrinsic {match.group(0)} outside src/util/simd* "
-            "— add a kernel to the SimdOps lanes so the lane ablation "
+            "— add a kernel to the SimdOps lanes so the scalar oracle "
             "covers it",
         )
 
@@ -508,7 +509,7 @@ FIXTURES = [
         "uint32_t f(const uint8_t* g) {\n"
         "  return _mm_movemask_epi8(LoadGroup(g)); }\n",
         "uint32_t f(const uint8_t* g) {\n"
-        "  return simd::DispatchOps::MatchEmpty(g); }\n",
+        "  return simd::DefaultOps::MatchEmpty(g); }\n",
     ),
     (
         "raw-simd-intrinsic",

@@ -46,7 +46,7 @@ void RunSizingPolicyAblation(uint64_t records) {
     for (const auto& p : policies) {
       LinearProbingMap<uint64_t> map(records, p.policy);
       const BenchTiming timing = TimeOnce([&] {
-        // lint:allow(raw-key-type): legacy paper bench over raw synthetic keys
+        // astlint:allow(raw-key-type): legacy paper bench, raw synthetic keys
         for (uint64_t key : keys) ++map.GetOrInsert(key);
       });
       std::printf("%s,%llu,%llu,%.1f\n", p.name,

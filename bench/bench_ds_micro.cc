@@ -36,12 +36,12 @@ void RunLaneMap(BenchReport& report, const std::string& map_name,
                 const char* lane, const std::vector<uint64_t>& keys) {
   Map map(keys.size());
   const BenchTiming build = TimeOnce([&] {
-    // lint:allow(raw-key-type): legacy paper bench over raw synthetic keys
+    // astlint:allow(raw-key-type): legacy paper bench, raw synthetic keys
     for (const uint64_t key : keys) map.GetOrInsert(key) += 1;
   });
   uint64_t sum = 0;
   const BenchTiming lookup = TimeOnce([&] {
-    // lint:allow(raw-key-type): legacy paper bench over raw synthetic keys
+    // astlint:allow(raw-key-type): legacy paper bench, raw synthetic keys
     for (const uint64_t key : keys) {
       const uint64_t* value = map.Find(key);
       if (value != nullptr) sum += *value;

@@ -24,7 +24,7 @@ namespace memagg {
 namespace {
 
 void BM_HashKey(benchmark::State& state) {
-  // lint:allow(raw-key-type): hash micro-bench feeds the raw mixer, no codec
+  // astlint:allow(raw-key-type): hash micro-bench feeds the raw mixer, no codec
   uint64_t key = 0x123456789abcdefULL;
   for (auto _ : state) {
     key = HashKey(key);

@@ -37,6 +37,8 @@ constexpr double kMigratePerRecord = 25.0;   // Re-probe one buffered record
                                              // when leaving sort.
 constexpr double kSwitchFixedCycles = 2e5;   // Tear down + construct + rewire.
 constexpr double kBarrierCycles = 20000.0;  // Fork/join of one parallel phase.
+// The switch hysteresis, kSwitchMargin, is in the header: the operator
+// template applies it.
 
 constexpr double kInfiniteCost = std::numeric_limits<double>::infinity();
 

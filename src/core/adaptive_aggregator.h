@@ -109,8 +109,6 @@ inline constexpr AggStrategySet kHybridStrategies = AggStrategySet::Of(
 struct AdaptiveOptions {
   size_t sample_morsels = 2;    ///< K: morsels consumed before first decision.
   size_t l3_bytes = 0;          ///< Cost-model LLC size; 0 = detect.
-  double switch_margin = 0.8;   ///< Switch only if predicted cost (incl.
-                                ///< migration) < margin × staying cost.
   AggStrategySet strategies;    ///< The strategies the operator may run; a
                                 ///< one-member set pins it (never switches).
   bool rotate = false;          ///< Ignore the cost model; switch to the next
@@ -153,6 +151,11 @@ double EstimatedStrategyCost(AggStrategy strategy,
 /// in how the finish phase merges it.
 double EstimatedMigrationCost(AggStrategy from, AggStrategy to,
                               const ProgressSnapshot& progress);
+
+/// Switch hysteresis, a cost-model constant like those in
+/// adaptive_aggregator.cc: switch only if the best strategy's predicted cost,
+/// migration included, is below kSwitchMargin × the cost of staying.
+inline constexpr double kSwitchMargin = 0.8;
 
 /// argmin of EstimatedStrategyCost over the applicable members of `allowed`.
 AggStrategy ChooseAggStrategy(const StrategyCostInputs& in,
@@ -422,7 +425,7 @@ class AdaptiveAggregator final : public VectorAggregator {
     if (best == current_) return;
     // The margin hedges against migration that the model got wrong; a free
     // migration has nothing to hedge, so any predicted gain is worth taking.
-    const double margin = migration == 0.0 ? 1.0 : opt_.switch_margin;
+    const double margin = migration == 0.0 ? 1.0 : kSwitchMargin;
     if (!opt_.rotate && go >= margin * stay) return;
     SwitchTo(best, rows_remaining, est_groups, progress);
   }

@@ -37,7 +37,7 @@
 // their template parameters with them; this header re-exports them by
 // inclusion. The container/operator concepts live here because only core/
 // (and tests) name them — keeping the include DAG acyclic
-// (tools/check_layering.py enforces it).
+// (astlint's include-layering rule enforces it).
 //
 // tests/static_checks/ pins every concrete type to its row in the table
 // above with static_asserts; tests/compile_fail/ proves each concept

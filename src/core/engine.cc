@@ -149,22 +149,12 @@ VectorQueryExecution RunVectorQuery(const std::string& label,
     aggregator->ReserveGroups(
         std::min(expected_size, EstimateGroupCardinality(keys, n)));
   }
-
-  // The end-to-end build/iterate clocks are the bench contract, not
-  // operator instrumentation: they are two timer reads per whole phase and
-  // stay live even under MEMAGG_DISABLE_STATS (which is why CycleTimer is
-  // used directly instead of the gated PhaseTimer).
   {
-    CycleTimer timer;
-    timer.Start();
+    PhaseTimer build(&execution.stats, StatPhase::kBuild);
     aggregator->Build(keys, values, n);
-    timer.Stop();
-    execution.stats.AddPhase(StatPhase::kBuild, timer.ElapsedCycles(),
-                             timer.ElapsedMillis());
   }
   {
-    CycleTimer timer;
-    timer.Start();
+    PhaseTimer iterate(&execution.stats, StatPhase::kIterate);
     if (range && aggregator->SupportsRange()) {
       execution.result = aggregator->IterateRange(range->lo, range->hi);
     } else {
@@ -175,19 +165,14 @@ VectorQueryExecution RunVectorQuery(const std::string& label,
         });
       }
     }
-    timer.Stop();
-    execution.stats.AddPhase(StatPhase::kIterate, timer.ElapsedCycles(),
-                             timer.ElapsedMillis());
   }
-  if (StatsConfig::kEnabled) {
-    execution.stats.Add(StatCounter::kRowsBuilt, n);
-    execution.stats.Add(StatCounter::kGroupsOut, execution.result.size());
-    aggregator->CollectStats(&execution.stats);
-    // Context-owned worker arenas are reported here, once per query;
-    // operators report only the allocators they own (see mem/allocator.h).
-    AddAllocStats(&execution.stats, exec.arenas->Stats());
-    execution.stats.Merge(exec.stats->Collect());
-  }
+  execution.stats.Add(StatCounter::kRowsBuilt, n);
+  execution.stats.Add(StatCounter::kGroupsOut, execution.result.size());
+  aggregator->CollectStats(&execution.stats);
+  // Context-owned worker arenas are reported here, once per query;
+  // operators report only the allocators they own (see mem/allocator.h).
+  AddAllocStats(&execution.stats, exec.arenas->Stats());
+  execution.stats.Merge(exec.stats->Collect());
   return execution;
 }
 

@@ -1,7 +1,7 @@
 // MphVectorAggregator (paper Section 3.2): the vector-aggregation operator
 // built on hash/ordered_mph.h's order-preserving minimal perfect hash. Split
 // from that header so hash/ stays below the operator layer in the include
-// DAG (tools/check_layering.py).
+// DAG (astlint's include-layering rule).
 
 #ifndef MEMAGG_CORE_MPH_AGGREGATOR_H_
 #define MEMAGG_CORE_MPH_AGGREGATOR_H_

@@ -193,10 +193,8 @@ class Executor {
 
  private:
   /// Flushes one worker's morsel count into its registry shard. Runs once
-  /// per worker per loop (not per morsel); compiled out entirely under
-  /// MEMAGG_DISABLE_STATS.
+  /// per worker per loop (not per morsel).
   void RecordWorkerClaims(int worker, uint64_t claimed) {
-    if (!StatsConfig::kEnabled) return;
     if (ctx_.stats == nullptr || claimed == 0) return;
     QueryStats& shard = ctx_.stats->WorkerShard(worker);
     shard.Add(StatCounter::kMorselsClaimed, claimed);

@@ -23,11 +23,6 @@ ThreadPool& TaskScheduler::pool() {
   return *pool_;
 }
 
-bool TaskScheduler::pool_started() const {
-  MutexLock lock(pool_mutex_);
-  return pool_ != nullptr;
-}
-
 TaskScheduler::Stats TaskScheduler::stats() const {
   Stats stats;
   stats.threads_created = threads_created_.load(std::memory_order_relaxed);

@@ -53,16 +53,13 @@ class TaskScheduler {
   /// The shared pool, constructing it (once) with Parallelism() threads.
   ThreadPool& pool() EXCLUDES(pool_mutex_);
 
-  /// True once pool() has been called (for tests; never starts the pool).
-  bool pool_started() const EXCLUDES(pool_mutex_);
-
   Stats stats() const;
 
  private:
   friend class TaskGroup;
   TaskScheduler() = default;
 
-  mutable Mutex pool_mutex_{LockRank::kSchedulerPool};
+  Mutex pool_mutex_{LockRank::kSchedulerPool};
   std::unique_ptr<ThreadPool> pool_ GUARDED_BY(pool_mutex_);
   std::atomic<uint64_t> threads_created_{0};
   std::atomic<uint64_t> tasks_run_{0};

@@ -15,7 +15,7 @@
 //     the scheme forces: pass 1 sorts and deduplicates the keys to build the
 //     MPHF; pass 2 aggregates into a dense value array indexed by mph(key).
 //     It lives in core/ so this header stays below the operator layer
-//     (tools/check_layering.py).
+//     (astlint's include-layering rule).
 
 #ifndef MEMAGG_HASH_ORDERED_MPH_H_
 #define MEMAGG_HASH_ORDERED_MPH_H_

@@ -11,11 +11,7 @@
 // Cost model: there is no per-row instrumentation anywhere. Counters are
 // either cold-path (a rehash, a spill), once-per-morsel (claims), or
 // computed on demand at collection time by walking the finished structure
-// (probe distances). Phase timers are two clock reads per phase. Building
-// with -DMEMAGG_DISABLE_STATS (cmake -DMEMAGG_STATS=OFF) compiles even
-// those residues out: StatsConfig::kEnabled folds every recording helper to
-// a no-op. Only the bench contract stays live: the build and iterate clocks
-// and the entry calls' wall, so kUnattributed then holds everything else.
+// (probe distances). Phase timers are two clock reads per phase.
 
 #ifndef MEMAGG_OBS_QUERY_STATS_H_
 #define MEMAGG_OBS_QUERY_STATS_H_
@@ -30,15 +26,6 @@
 #include "util/cycle_timer.h"
 
 namespace memagg {
-
-/// Compile-time stats switch; see the header comment.
-struct StatsConfig {
-#if defined(MEMAGG_DISABLE_STATS)
-  static constexpr bool kEnabled = false;
-#else
-  static constexpr bool kEnabled = true;
-#endif
-};
 
 /// Execution phases. The top-level phases partition an entry call's wall
 /// time (ExecuteVectorQuery, ExecuteTableQuery): each is timed by the call
@@ -173,7 +160,7 @@ struct QueryStats {
 /// Call once per allocator/arena at collection time; snapshots from the same
 /// arena must not be added twice (see ArenaAllocator::Stats() ownership rule).
 inline void AddAllocStats(QueryStats* stats, const AllocStats& alloc) {
-  if (!StatsConfig::kEnabled || stats == nullptr) return;
+  if (stats == nullptr) return;
   stats->Add(StatCounter::kArenaChunks, alloc.chunks);
   stats->Add(StatCounter::kArenaBytesReserved, alloc.bytes_reserved);
   stats->Add(StatCounter::kArenaBytesUsed, alloc.bytes_used);
@@ -219,11 +206,11 @@ class StatsRegistry {
 };
 
 /// RAII phase timer. Records into `stats` on Stop()/destruction; a null
-/// target (or a stats-disabled build) makes it a no-op.
+/// target makes it a no-op.
 class PhaseTimer {
  public:
   PhaseTimer(QueryStats* stats, StatPhase phase)
-      : stats_(StatsConfig::kEnabled ? stats : nullptr), phase_(phase) {
+      : stats_(stats), phase_(phase) {
     if (stats_ != nullptr) timer_.Start();
   }
 

@@ -3,7 +3,7 @@
 namespace memagg {
 namespace sim_internal {
 
-// lint:allow(unguarded-global): bound only by ScopedCacheSim on one thread.
+// astlint:allow(unguarded-global): bound only by ScopedCacheSim on one thread.
 CacheModel* g_cache_model = nullptr;
 
 }  // namespace sim_internal

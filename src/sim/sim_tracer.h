@@ -14,7 +14,7 @@ namespace memagg {
 namespace sim_internal {
 /// The currently bound model (nullptr when none). Single-threaded by
 /// design: the Figure 6 experiment is a serial workload.
-// lint:allow(unguarded-global): bound only by ScopedCacheSim on one thread.
+// astlint:allow(unguarded-global): bound only by ScopedCacheSim on one thread.
 extern CacheModel* g_cache_model;
 }  // namespace sim_internal
 

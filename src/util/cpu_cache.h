@@ -5,8 +5,8 @@
 // query runs on, and the cache simulator (sim/cache_model.h) offers a
 // detected-hierarchy configuration next to its paper-machine default. Both
 // sit in layers that may not depend on each other (core must not include
-// sim — tools/check_layering.py), so the probe lives here at the bottom of
-// the DAG.
+// sim — astlint's include-layering rule), so the probe lives here at the
+// bottom of the DAG.
 
 #ifndef MEMAGG_UTIL_CPU_CACHE_H_
 #define MEMAGG_UTIL_CPU_CACHE_H_

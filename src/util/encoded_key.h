@@ -12,9 +12,9 @@
 //
 // The alias exists so the contract is visible in signatures: a parameter or
 // member spelled `EncodedKey` is a codec-produced (or synthetic-benchmark)
-// group key, not an arbitrary integer. tools/lint_invariants.py enforces
-// the vocabulary (`raw-key-type`): `uint64_t key` declarations in the
-// operator/container layers are flagged.
+// group key, not an arbitrary integer. astlint's `raw-key-type` rule
+// (tools/astlint/) enforces the vocabulary: `uint64_t key` declarations in
+// the operator/container layers are flagged.
 
 #ifndef MEMAGG_UTIL_ENCODED_KEY_H_
 #define MEMAGG_UTIL_ENCODED_KEY_H_

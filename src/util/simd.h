@@ -15,7 +15,7 @@
 // defined, ScalarOps otherwise. It is the default `Ops` of every container,
 // so probe loops call the kernels directly; tests and benchmarks pin
 // ScalarOps to compare against it. All raw intrinsics in the repo live in
-// this header — tools/lint_invariants.py (rule raw-simd-intrinsic) rejects
+// this header — astlint's raw-simd-intrinsic rule (tools/astlint/) rejects
 // them anywhere outside src/util/simd*.
 
 #ifndef MEMAGG_UTIL_SIMD_H_

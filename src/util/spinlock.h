@@ -77,7 +77,7 @@ class CAPABILITY("mutex") SpinLock {
 
   static void Pause() {
 #if defined(__x86_64__) || defined(_M_X64)
-    // lint:allow(raw-simd-intrinsic): spin-wait scheduling hint, not a data
+    // astlint:allow(raw-simd-intrinsic): spin-wait scheduling hint, not a data
     _mm_pause();  // kernel — nothing for the SimdOps lane ablation to cover.
 #endif
   }

@@ -59,15 +59,13 @@ TEST(ConcurrencyStressTest, SchedulerRegistryAndStripedMapTogether) {
         }
       });
       // Collect() between parallel phases must see every claimed morsel.
-      if (StatsConfig::kEnabled) {
-        const QueryStats stats = registry.Collect();
-        EXPECT_EQ(stats.Get(StatCounter::kMorselsClaimed),
-                  exec.NumMorsels(kRowsPerQuery));
-        EXPECT_LE(stats.Get(StatCounter::kWorkersUsed),
-                  static_cast<uint64_t>(kWorkersPerQuery));
-        morsels_recorded.fetch_add(stats.Get(StatCounter::kMorselsClaimed),
-                                   std::memory_order_relaxed);
-      }
+      const QueryStats stats = registry.Collect();
+      EXPECT_EQ(stats.Get(StatCounter::kMorselsClaimed),
+                exec.NumMorsels(kRowsPerQuery));
+      EXPECT_LE(stats.Get(StatCounter::kWorkersUsed),
+                static_cast<uint64_t>(kWorkersPerQuery));
+      morsels_recorded.fetch_add(stats.Get(StatCounter::kMorselsClaimed),
+                                 std::memory_order_relaxed);
     });
   }
   for (auto& query : queries) query.join();
@@ -77,9 +75,7 @@ TEST(ConcurrencyStressTest, SchedulerRegistryAndStripedMapTogether) {
   map.ForEach([&total](uint64_t, const uint64_t& count) { total += count; });
   EXPECT_EQ(total, static_cast<uint64_t>(kQueryThreads) * kRowsPerQuery);
   EXPECT_LE(map.size(), kKeyRange);
-  if (StatsConfig::kEnabled) {
-    EXPECT_GT(morsels_recorded.load(), 0u);
-  }
+  EXPECT_GT(morsels_recorded.load(), 0u);
 }
 
 // Many short-lived TaskGroups with nested submits, all sharing the global
@@ -133,11 +129,9 @@ TEST(ConcurrencyStressTest, StatsShardsMergeExactly) {
     });
   }
   EXPECT_EQ(touched.load(), static_cast<uint64_t>(kLoops) * kRows);
-  if (StatsConfig::kEnabled) {
-    const QueryStats stats = registry.Collect();
-    EXPECT_EQ(stats.Get(StatCounter::kMorselsClaimed),
-              static_cast<uint64_t>(kLoops) * exec.NumMorsels(kRows));
-  }
+  const QueryStats stats = registry.Collect();
+  EXPECT_EQ(stats.Get(StatCounter::kMorselsClaimed),
+            static_cast<uint64_t>(kLoops) * exec.NumMorsels(kRows));
 }
 
 // Mid-switch migration under concurrency: the adaptive operator's

@@ -77,11 +77,7 @@ TEST(QueryStatsTest, PhaseTimerRecordsOnceEvenIfStoppedTwice) {
     timer.Stop();
     timer.Stop();  // Idempotent; destructor must not record again either.
   }
-  if (StatsConfig::kEnabled) {
-    EXPECT_GT(stats.PhaseCycles(StatPhase::kBuild), 0u);
-  } else {
-    EXPECT_EQ(stats.PhaseCycles(StatPhase::kBuild), 0u);
-  }
+  EXPECT_GT(stats.PhaseCycles(StatPhase::kBuild), 0u);
   const uint64_t once = stats.PhaseCycles(StatPhase::kBuild);
   EXPECT_EQ(stats.PhaseCycles(StatPhase::kBuild), once);
 }
@@ -162,7 +158,6 @@ std::vector<LabelCase> AllEngineCases() {
 }
 
 TEST(QueryStatsEndToEndTest, EveryOperatorReportsPhasesAndCounters) {
-  if (!StatsConfig::kEnabled) GTEST_SKIP() << "stats compiled out";
   // Large enough that 4 threads get a multi-morsel grid (>= 2 * 16K rows).
   DatasetSpec spec{Distribution::kRseqShuffled, 100000, 500, 131};
   const auto keys = GenerateKeys(spec);
@@ -237,7 +232,6 @@ void ExpectWallAccounted(const QueryStats& stats, const CycleTimer& outer) {
 }
 
 TEST(QueryStatsEndToEndTest, VectorQueryPhasesSumToItsWall) {
-  if (!StatsConfig::kEnabled) GTEST_SKIP() << "stats compiled out";
   DatasetSpec spec{Distribution::kZipf, 50000, 1000, 138};
   const auto keys = GenerateKeys(spec);
   CycleTimer outer;
@@ -252,7 +246,6 @@ TEST(QueryStatsEndToEndTest, VectorQueryPhasesSumToItsWall) {
 }
 
 TEST(QueryStatsEndToEndTest, TableQueryPhasesSumToItsWall) {
-  if (!StatsConfig::kEnabled) GTEST_SKIP() << "stats compiled out";
   const Table table = GenerateLineitem(50000, 9);
   TableQuery q1;
   q1.group_by = {"l_returnflag", "l_linestatus"};
@@ -274,7 +267,6 @@ TEST(QueryStatsEndToEndTest, TableQueryPhasesSumToItsWall) {
 }
 
 TEST(QueryStatsEndToEndTest, ProbeStatsReportedForOpenAddressing) {
-  if (!StatsConfig::kEnabled) GTEST_SKIP() << "stats compiled out";
   DatasetSpec spec{Distribution::kRseqShuffled, 20000, 1000, 132};
   const auto keys = GenerateKeys(spec);
   const auto execution =
@@ -287,7 +279,6 @@ TEST(QueryStatsEndToEndTest, ProbeStatsReportedForOpenAddressing) {
 }
 
 TEST(QueryStatsEndToEndTest, RehashCounterFiresWhenTableIsUndersized) {
-  if (!StatsConfig::kEnabled) GTEST_SKIP() << "stats compiled out";
   DatasetSpec spec{Distribution::kRseqShuffled, 20000, 10000, 133};
   const auto keys = GenerateKeys(spec);
   // expected_size=2 forces the linear-probing table to grow repeatedly.
@@ -298,7 +289,6 @@ TEST(QueryStatsEndToEndTest, RehashCounterFiresWhenTableIsUndersized) {
 }
 
 TEST(QueryStatsEndToEndTest, HybridSwitchReportsTheSortPhase) {
-  if (!StatsConfig::kEnabled) GTEST_SKIP() << "stats compiled out";
   // The Hybrid set forced across its hash→sort switch (one worker, three
   // morsels, rotation at the first barrier): the switch and the sort
   // strategy's rows and kernel time must surface.
@@ -325,7 +315,6 @@ TEST(QueryStatsEndToEndTest, HybridSwitchReportsTheSortPhase) {
 }
 
 TEST(QueryStatsEndToEndTest, LocalPartitionReportsMergeAccounting) {
-  if (!StatsConfig::kEnabled) GTEST_SKIP() << "stats compiled out";
   DatasetSpec spec{Distribution::kRseqShuffled, 100000, 500, 135};
   const auto keys = GenerateKeys(spec);
   const auto execution =
@@ -337,7 +326,6 @@ TEST(QueryStatsEndToEndTest, LocalPartitionReportsMergeAccounting) {
 }
 
 TEST(QueryStatsEndToEndTest, RadixPartitionReportsMergePhase) {
-  if (!StatsConfig::kEnabled) GTEST_SKIP() << "stats compiled out";
   DatasetSpec spec{Distribution::kRseqShuffled, 100000, 500, 136};
   const auto keys = GenerateKeys(spec);
   const auto execution =
@@ -353,7 +341,6 @@ TEST(QueryStatsEndToEndTest, RadixPartitionReportsMergePhase) {
 }
 
 TEST(QueryStatsEndToEndTest, CuckooKicksSurfaceUnderChurn) {
-  if (!StatsConfig::kEnabled) GTEST_SKIP() << "stats compiled out";
   DatasetSpec spec{Distribution::kRseqShuffled, 50000, 20000, 137};
   const auto keys = GenerateKeys(spec);
   // An undersized cuckoo table must displace entries while growing.

@@ -243,10 +243,8 @@ TEST(TableExecTest, Q1SizesEachOperatorToTheCodecGroupBound) {
   const TableQueryResult result =
       ExecuteTableQuery(table, Q1Query(), "Hash_LP");
   ExpectMatchesReference(table, result, "Hash_LP");
-  if (StatsConfig::kEnabled) {
-    EXPECT_LT(result.stats.Get(StatCounter::kArenaBytesReserved),
-              uint64_t{64} * 1024);
-  }
+  EXPECT_LT(result.stats.Get(StatCounter::kArenaBytesReserved),
+            uint64_t{64} * 1024);
 }
 
 KeyFieldValue FieldAt(const Column& column, size_t row) {

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""astlint: AST-grounded concurrency linting over compile_commands.json.
+"""astlint: the repo's lint engine, over compile_commands.json or raw text.
 
-Seven rules run over a per-file model extracted by one of two frontends:
+Two rule families share one waiver syntax and one stale-waiver check.
+
+Model rules run over a per-file model extracted by one of two frontends:
 
   lock-order                    repo-wide acquires-while-holding graph must
                                 be cycle-free and rank-consistent (ranks
@@ -21,10 +23,11 @@ Seven rules run over a per-file model extracted by one of two frontends:
                                 function-local Arena/WorkerArenas may
                                 outlive the arena (return, member store,
                                 unjoined task capture, use-after-Reset)
-  morsel-capture                Tier 6: by-reference captures in lambdas
-                                handed to Submit()/Schedule() need a
-                                dominating Wait() in the same scope (or a
-                                requires-join summary met at call sites)
+  morsel-capture                Tier 6: no bare [&] in a lambda handed to
+                                Submit()/Schedule(); named by-reference
+                                captures need a dominating Wait() in the
+                                same scope (or a requires-join summary met
+                                at call sites)
   packed-shift                  Tier 6: every shift in the packed-key
                                 scope is symbolically bounded below the
                                 operand width (see dataflow.py)
@@ -34,6 +37,12 @@ The Tier-6 rules share one intraprocedural-with-call-summaries engine
 frontends feed it the same lexical facts, so Tier 6 has frontend parity
 by construction. --parity-test verifies the Tier 4-5 extraction agrees
 across frontends over every fixture.
+
+Text rules (text_rules.py: raw-thread, libc-rand, unguarded-global,
+include-guard, raw-node-alloc, raw-simd-intrinsic, raw-key-type,
+unconstrained-typename, include-layering) read the stripped source of every
+file under src/, bench/, examples/ and tests/. This script runs them outside
+either frontend, so they are the same code in every mode.
 
 Frontends (--mode):
   ast   libclang over compile_commands.json (CI: apt install clang
@@ -48,8 +57,8 @@ Frontends (--mode):
 Waivers: `// astlint:allow(rule): reason` on the offending line or the
 line above. A lock-order waiver suppresses the acquisition *edge*, so
 waiving one edge of a cycle breaks the cycle. A waiver whose rule has no
-raw fact on its own or the next line is itself reported (stale-waiver),
-so waivers cannot outlive the code they excuse.
+raw fact or text hit on its own or the next line is itself reported
+(stale-waiver), so waivers cannot outlive the code they excuse.
 
 Artifacts: --graph-out writes the acquires-while-holding graph;
 --dataflow-out writes astlint_dataflow.json (every arena escape, task
@@ -57,12 +66,14 @@ capture, and audited shift site — including the clean ones).
 
 Self-test: --self-test replays the planted-violation fixtures under
 tools/astlint/fixtures/ through the active frontend — each must fire its
-rule exactly the expected number of times, fire nothing else, and go
-clean when every reported line is waived. Registered in ctest as
-astlint_selftest.
+rule exactly as expected, fire nothing else, and go clean when every
+reported line is waived — and checks that text_rules.MODULE_DEPS is a DAG.
+Registered in ctest as astlint_selftest.
 """
 
 import argparse
+import copy
+import functools
 import re
 import sys
 from pathlib import Path
@@ -72,16 +83,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import dataflow
 import lex_frontend
 import model
+import text_rules
 
 REPO = model.REPO
 FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
-GATHER_DIRS = ("src", "bench", "examples")
 WAIVER_RE = re.compile(r"//\s*astlint:allow\(([a-z-]+)\)")
 # Meta-rule: a waiver whose rule has no raw fact at the covered lines.
 STALE_RULE = "stale-waiver"
 
-# (fixture file, pretend repo path, rule that must fire, expected count).
-# A rule of None asserts the fixture is clean.
+# (fixture file, pretend repo path, rule that must fire, expected). A rule of
+# None asserts the fixture is clean. `expected` is a count, or, for the text
+# rules, whose lines cannot differ between frontends, the lines that fire.
 FIXTURES = (
     ("lock_cycle.cc", "src/exec/lock_cycle_fixture.cc",
      model.RULE_LOCK_ORDER, 1),
@@ -99,7 +111,7 @@ FIXTURES = (
     ("arena_escape.cc", "src/exec/arena_escape_fixture.cc",
      model.RULE_ARENA_ESCAPE, 5),
     ("morsel_capture.cc", "src/exec/morsel_capture_fixture.cc",
-     model.RULE_TASK_CAPTURE, 3),
+     model.RULE_TASK_CAPTURE, 4),
     ("packed_shift.cc", "src/data/key_codec_fixture.cc",
      model.RULE_PACKED_SHIFT, 3),
     ("fixed_point_shift.cc", "src/data/lineitem_fixture.cc",
@@ -107,18 +119,57 @@ FIXTURES = (
     ("stale_waiver.cc", "src/exec/stale_waiver_fixture.cc",
      "stale-waiver", 1),
     ("clean_dataflow.cc", "src/exec/clean_dataflow_fixture.cc", None, 0),
+    # Text rules: each bad snippet, its good twin, the exempt paths, and the
+    # scan's reach into tests/ (threads allowed there, rand not) and bench/.
+    ("raw_thread.cc", "src/core/widget.cc", "raw-thread", (1,)),
+    ("raw_thread_ok.cc", "src/core/widget.cc", None, 0),
+    ("raw_thread.cc", "src/exec/thread_pool.cc", None, 0),
+    ("raw_thread.cc", "tests/widget_test.cc", None, 0),
+    ("libc_rand.cc", "bench/micro.cc", "libc-rand", (1,)),
+    ("libc_rand.cc", "tests/widget_test.cc", "libc-rand", (1,)),
+    ("libc_rand_ok.cc", "bench/micro.cc", None, 0),
+    ("unguarded_global.cc", "src/core/widget.cc", "unguarded-global", (1,)),
+    ("unguarded_global_ok.cc", "src/core/widget.cc", None, 0),
+    ("raw_node_alloc.cc", "src/hash/widget.h", "raw-node-alloc", (3,)),
+    ("raw_node_alloc_ok.cc", "src/hash/widget.h", None, 0),
+    ("raw_node_alloc_exempt.cc", "src/core/widget.cc", None, 0),
+    ("raw_simd_intrinsic.cc", "src/hash/widget.h", "raw-simd-intrinsic",
+     (4,)),
+    ("raw_simd_intrinsic_ok.cc", "src/hash/widget.h", None, 0),
+    ("raw_simd_intrinsic_exempt.cc", "src/util/simd_widen.h", None, 0),
+    ("include_guard.cc", "src/core/widget.h", "include-guard", (1,)),
+    ("include_guard_ok.cc", "src/core/widget.h", None, 0),
+    ("raw_key_type.cc", "src/core/widget.h", "raw-key-type", (3,)),
+    ("raw_key_type.cc", "bench/micro.cc", "raw-key-type", (3,)),
+    ("raw_key_type_ok.cc", "src/core/widget.h", None, 0),
+    ("raw_key_type_exempt.cc", "src/data/widget.h", None, 0),
+    ("unconstrained_typename.cc", "src/core/widget.h",
+     "unconstrained-typename", (3,)),
+    ("unconstrained_typename_ok.cc", "src/core/widget.h", None, 0),
+    ("unconstrained_typename_concepts.cc", "src/core/concepts.h", None, 0),
+    ("unconstrained_typename_hash.cc", "src/hash/widget.h", None, 0),
+    ("include_layering.cc", "src/hash/bad_map.h", "include-layering", (4,)),
+    ("include_layering_ok.cc", "src/core/fine.h", None, 0),
+    ("stale_text_waiver.cc", "src/core/widget.cc", "stale-waiver", (1,)),
+    ("stale_text_waiver_ok.cc", "src/core/widget.cc", None, 0),
+    ("stripping.cc", "src/core/widget.cc", None, 0),
 )
+
+
+def waiver_sites(text):
+    """(1-based line, rule) of every waiver comment in `text`."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for match in WAIVER_RE.finditer(line):
+            yield lineno, match.group(1)
 
 
 def collect_waivers(text):
     """Maps 1-based line number -> set of waived rules. A waiver covers its
     own line and the next line."""
     waived = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for match in WAIVER_RE.finditer(line):
-            rule = match.group(1)
-            waived.setdefault(lineno, set()).add(rule)
-            waived.setdefault(lineno + 1, set()).add(rule)
+    for lineno, rule in waiver_sites(text):
+        waived.setdefault(lineno, set()).add(rule)
+        waived.setdefault(lineno + 1, set()).add(rule)
     return waived
 
 
@@ -147,108 +198,119 @@ def apply_waivers(file_model, waived):
     return file_model
 
 
-def raw_fact_lines(file_model):
-    """rule -> lines carrying a raw (pre-waiver) fact of that rule. This is
-    what keeps a waiver alive: lock-order liveness is 'an edge exists here',
-    not 'the edge still violates' (same contract as lint_invariants.py)."""
-    lines = {rule: set() for rule in model.ALL_RULES}
+def raw_fact_lines(file_model, text_hits):
+    """rule -> lines carrying a raw (pre-waiver) model fact or text-rule hit
+    of that rule. This is what keeps a waiver alive: lock-order liveness is
+    'an edge exists here', not 'the edge still violates'."""
+    lines = {}
+
+    def add(rule, line):
+        lines.setdefault(rule, set()).add(line)
+
+    for line, rule, _ in text_hits:
+        add(rule, line)
+    if file_model is None:
+        return lines
     for e in file_model.edges:
-        lines[model.RULE_LOCK_ORDER].add(e.line)
+        add(model.RULE_LOCK_ORDER, e.line)
     for f in file_model.morsel_flags:
-        rule = model.RULE_STATS if f.kind == "stats" else model.RULE_BLOCKING
-        lines[rule].add(f.line)
+        add(model.RULE_STATS if f.kind == "stats" else model.RULE_BLOCKING,
+            f.line)
     for c in file_model.aggregator_constructions:
-        lines[model.RULE_FIXED_AGG].add(c.line)
+        add(model.RULE_FIXED_AGG, c.line)
     for e in file_model.arena_escapes:
-        lines[model.RULE_ARENA_ESCAPE].add(e.line)
+        add(model.RULE_ARENA_ESCAPE, e.line)
     for c in file_model.task_captures:
-        lines[model.RULE_TASK_CAPTURE].add(c.line)
+        add(model.RULE_TASK_CAPTURE, c.line)
     for s in file_model.shift_sites:
         if not s.ok:
-            lines[model.RULE_PACKED_SHIFT].add(s.line)
+            add(model.RULE_PACKED_SHIFT, s.line)
     return lines
 
 
-def stale_waiver_violations(file_model, text):
+def stale_waiver_violations(path, text, facts, waived):
     """Waivers whose rule has no raw fact on the covered lines. Suppressed
     by astlint:allow(stale-waiver) on the same line; stale-waiver waivers
     themselves are exempt from staleness (they have no fact to match)."""
-    facts = raw_fact_lines(file_model)
-    waived = collect_waivers(text)
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for match in WAIVER_RE.finditer(line):
-            rule = match.group(1)
-            if rule == STALE_RULE:
-                continue
-            if facts.get(rule, set()) & {lineno, lineno + 1}:
-                continue
-            if STALE_RULE in waived.get(lineno, ()):
-                continue
-            out.append(model.Violation(
-                file_model.path, lineno, STALE_RULE,
-                f"astlint:allow({rule}) matches no {rule} fact on this or "
-                "the next line — the waived code is gone; remove the "
-                "waiver"))
+    for lineno, rule in waiver_sites(text):
+        if rule == STALE_RULE:
+            continue
+        if facts.get(rule, set()) & {lineno, lineno + 1}:
+            continue
+        if STALE_RULE in waived.get(lineno, ()):
+            continue
+        out.append(model.Violation(
+            path, lineno, STALE_RULE,
+            f"astlint:allow({rule}) matches no {rule} fact on this or the "
+            "next line — the waived code is gone; remove the waiver"))
     return out
 
 
 def link_and_waive(models, texts):
-    """The repo-wide phase: Tier-6 linking must see raw (unwaived) facts,
-    and staleness must be judged on them too — so extraction, link, stale
-    scan, and waiver application run in that order. `texts` maps model
-    path -> source text. Returns the stale-waiver violations."""
+    """The repo-wide phase. Tier-6 linking must see raw (unwaived) facts,
+    and staleness must be judged on them and on the raw text-rule hits, so
+    extraction, link, text rules, stale scan, and waiver application run in
+    that order. `texts` maps every scanned path to its source, a superset
+    of the model paths. Returns the text-rule and stale-waiver violations;
+    the model rules then run over the waived models."""
     dataflow.link(models)
-    stale = []
-    for file_model in models:
-        text = texts.get(file_model.path)
-        if text is None:
-            continue
-        stale.extend(stale_waiver_violations(file_model, text))
-        apply_waivers(file_model, collect_waivers(text))
-    return stale
+    by_path = {file_model.path: file_model for file_model in models}
+    found = []
+    for path, text in texts.items():
+        hits = text_rules.scan(path, text)
+        file_model = by_path.get(path)
+        waived = collect_waivers(text)
+        found.extend(stale_waiver_violations(
+            path, text, raw_fact_lines(file_model, hits), waived))
+        found.extend(model.Violation(path, line, rule, message)
+                     for line, rule, message in hits
+                     if rule not in waived.get(line, ()))
+        if file_model is not None:
+            apply_waivers(file_model, waived)
+    return found
 
 
-def repo_files():
-    for top in GATHER_DIRS:
-        root = REPO / top
-        if not root.is_dir():
-            continue
-        for path in sorted(root.rglob("*")):
+def repo_texts():
+    """Source text of every file of the repo walk (text_rules.SCAN_DIRS)."""
+    texts = {}
+    for top in text_rules.SCAN_DIRS:
+        for path in sorted((REPO / top).rglob("*")):
             if path.suffix in (".h", ".cc"):
                 rel = path.relative_to(REPO).as_posix()
-                if rel not in model.SKIP_FILES:
-                    yield rel
+                texts[rel] = path.read_text(encoding="utf-8")
+    return texts
 
 
 def gather_lex():
-    models, texts = [], {}
-    for rel in repo_files():
-        text = (REPO / rel).read_text(encoding="utf-8")
-        texts[rel] = text
-        models.append(lex_frontend.extract(rel, text))
-    return models, link_and_waive(models, texts)
+    texts = repo_texts()
+    models = [lex_frontend.extract(rel, text) for rel, text in texts.items()
+              if rel.startswith(model.LINTED_PREFIXES)
+              and rel not in model.SKIP_FILES]
+    return models, texts, link_and_waive(models, texts)
 
 
 def gather_ast(build_dir):
     import ast_frontend
     models = ast_frontend.extract_repo(REPO, build_dir, log=print)
-    texts = {}
-    for file_model in models:
-        path = REPO / file_model.path
-        if path.is_file():
-            texts[file_model.path] = path.read_text(encoding="utf-8")
-    return models, link_and_waive(models, texts)
+    texts = repo_texts()
+    return models, texts, link_and_waive(models, texts)
 
 
 # --- Self-test ---------------------------------------------------------------
 
+@functools.cache
+def repo_ranks():
+    """The repo's rank table, parsed once for every fixture run."""
+    return model.RankTable.load(REPO)
+
+
 def run_fixture(extract, pretend, text):
     file_model = extract(pretend, text)
-    stale = link_and_waive([file_model], {pretend: text})
-    ranks = model.RankTable.load(
-        REPO, extra_texts=[(Path(pretend).name, text)])
-    return sorted(model.run_rules([file_model], ranks) + stale,
+    found = link_and_waive([file_model], {pretend: text})
+    ranks = copy.deepcopy(repo_ranks())
+    ranks.parse_decls(Path(pretend).name, text)
+    return sorted(model.run_rules([file_model], ranks) + found,
                   key=lambda v: (v.file, v.line, v.rule))
 
 
@@ -259,13 +321,16 @@ def self_test(extract, frontend_name):
         violations = run_fixture(extract, pretend, text)
         hits = [v for v in violations if v.rule == rule]
         others = [v for v in violations if v.rule != rule]
-        if len(hits) != expected:
+        hit_lines = tuple(v.line for v in hits)
+        fired = hit_lines if isinstance(expected, tuple) else len(hit_lines)
+        if fired != expected:
             failures.append(
-                f"{fixture}: expected {expected} {rule} violation(s), "
-                f"got {len(hits)}: {hits}")
+                f"{fixture} @ {pretend}: expected {expected} {rule} "
+                f"violation(s), got {fired}: {hits}")
         if others:
-            failures.append(f"{fixture}: unexpected violations: {others}")
-        if rule is not None and len(hits) == expected and expected > 0:
+            failures.append(
+                f"{fixture} @ {pretend}: unexpected violations: {others}")
+        if rule is not None and hits and fired == expected:
             lines = text.splitlines()
             for violation in hits:
                 lines[violation.line - 1] += (
@@ -273,10 +338,16 @@ def self_test(extract, frontend_name):
             waived = run_fixture(extract, pretend, "\n".join(lines) + "\n")
             if waived:
                 failures.append(
-                    f"{fixture}: waivers did not suppress: {waived}")
-        status = "FAIL" if any(f.startswith(fixture) for f in failures) \
-            else "ok"
-        print(f"astlint self-test [{frontend_name}] {fixture}: {status}")
+                    f"{fixture} @ {pretend}: waivers did not suppress: "
+                    f"{waived}")
+        status = "FAIL" if any(f.startswith(f"{fixture} @ {pretend}:")
+                               for f in failures) else "ok"
+        print(f"astlint self-test [{frontend_name}] {fixture} @ {pretend}: "
+              f"{status}")
+    unordered = text_rules.unordered_modules()
+    if unordered:
+        failures.append(f"MODULE_DEPS is not a DAG: {unordered} sit on or "
+                        "above a cycle")
     for failure in failures:
         print(f"astlint self-test FAILURE: {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -324,7 +395,8 @@ def parity_test():
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="AST-grounded concurrency linting for memagg")
+        description="memagg's lint engine: lock order, morsel bodies, "
+                    "dataflow, and the text rules")
     parser.add_argument("--mode", choices=("auto", "ast", "lex"),
                         default="auto")
     parser.add_argument("-p", "--build-dir", default=str(REPO / "build"),
@@ -347,8 +419,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for rule in model.ALL_RULES + (STALE_RULE,):
+        for rule in model.ALL_RULES + tuple(r for r, _, _ in text_rules.RULES):
             print(rule)
+        print(STALE_RULE)
         return 0
 
     if args.require_frontend == "ast":
@@ -404,12 +477,12 @@ def main(argv=None):
             frontend = "lex"
 
     if frontend == "ast":
-        models, stale = gather_ast(args.build_dir)
+        models, texts, found = gather_ast(args.build_dir)
     else:
-        models, stale = gather_lex()
+        models, texts, found = gather_lex()
 
     ranks = model.RankTable.load(REPO)
-    violations = sorted(model.run_rules(models, ranks) + stale,
+    violations = sorted(model.run_rules(models, ranks) + found,
                         key=lambda v: (v.file, v.line, v.rule))
 
     if args.graph_out:
@@ -427,9 +500,10 @@ def main(argv=None):
     edge_count = sum(len(m.edges) for m in models)
     func_count = sum(len(m.functions) for m in models)
     shift_count = sum(len(m.shift_sites) for m in models)
-    print(f"astlint [{frontend}]: {len(models)} file(s), {edge_count} "
-          f"acquires-while-holding edge(s), {func_count} function(s), "
-          f"{shift_count} audited shift(s), {len(violations)} violation(s)")
+    print(f"astlint [{frontend}]: {len(texts)} file(s) scanned, "
+          f"{len(models)} modelled, {edge_count} acquires-while-holding "
+          f"edge(s), {func_count} function(s), {shift_count} audited "
+          f"shift(s), {len(violations)} violation(s)")
     return 1 if violations else 0
 
 

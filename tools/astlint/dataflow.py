@@ -43,14 +43,17 @@ Rule semantics (what gets flagged):
                     not tracked (that is what WorkerArenas::Lease asserts
                     at runtime).
 
-  morsel-capture    a lambda handed to Submit()/Schedule() captures state
-                    by reference ([&], &local) but no dominating
+  morsel-capture    a lambda handed to Submit()/Schedule() captures a
+                    named local by reference (&local) but no dominating
                     receiver.Wait() in the same function bounds the task's
-                    lifetime. Reference *parameters* are caller-owned: a
-                    submit to a TaskGroup& parameter becomes a requires-
-                    join summary checked at every call site instead of a
-                    local finding. Executor::ParallelFor needs no special
-                    case: it joins internally, so it carries no summary.
+                    lifetime, or captures by default reference ([&]) at
+                    all: a bare [&] names no local to check, so it is
+                    reported whether or not a Wait() follows. Reference
+                    *parameters* are caller-owned: a submit to a
+                    TaskGroup& parameter becomes a requires-join summary
+                    checked at every call site instead of a local finding.
+                    Executor::ParallelFor needs no special case: it joins
+                    internally, so it carries no summary.
 
   packed-shift      every spaced shift in src/data/key_codec.*,
                     src/util/encoded_key.h, and src/data/lineitem.* is
@@ -74,11 +77,12 @@ from dataclasses import dataclass, field
 
 from model import ArenaEscape, ShiftSite, TaskCapture
 
-# --- Text utilities (duplicated from lex_frontend so ast_frontend can use
-# this module without importing the lexical frontend) ------------------------
+# --- Text utilities (shared by lex_frontend and text_rules) ------------------
 
 
 def strip_comments_and_strings(text):
+    """Blanks out comments and string/char literals, preserving every
+    offset and line break so reported lines match the file."""
     out = []
     i, n = 0, len(text)
     while i < n:
@@ -112,6 +116,7 @@ def line_of(text, offset):
 
 
 def match_brace_span(text, open_brace):
+    """Offset one past the '}' matching text[open_brace]."""
     depth = 0
     for i in range(open_brace, len(text)):
         if text[i] == "{":
@@ -926,25 +931,30 @@ def _arena_findings(facts, out):
                 break
 
 
+UNJOINED = (" — the task can outlive the captured frame; join with Wait() "
+            "before the scope ends or capture by value")
+
+
 def _capture_findings(facts, out, requires_join):
     func = facts.func
     param_names = {name for name, _ in func.params}
     for submit in facts.submits:
         if submit.captures is None:
             continue
-        if _joined_after(facts.joins, submit.receiver, submit.offset):
-            continue
+        joined = _joined_after(facts.joins, submit.receiver, submit.offset)
         receiver_is_param = submit.base in facts.group_params
         for entry in submit.captures:
             if entry == "&":
                 out.append(TaskCapture(
                     variable="[&]", receiver=submit.receiver,
                     function=func.name, file=func.file, line=submit.line,
-                    detail="default by-reference capture in a scheduled "
-                           "task with no dominating Wait() in this scope"))
+                    detail="default [&] capture in a scheduled task — name "
+                           "every captured local (each is then checked "
+                           "against a dominating Wait()) or capture by "
+                           "value"))
                 continue
-            if not entry.startswith("&"):
-                continue  # by-value or this: lifetime-safe here
+            if joined or not entry.startswith("&"):
+                continue  # joined, by-value or this: lifetime-safe here
             name = base_ident(entry.split("=", 1)[0])
             if name is None:
                 continue
@@ -958,7 +968,7 @@ def _capture_findings(facts, out, requires_join):
                 function=func.name, file=func.file, line=submit.line,
                 detail=f"captures {'parameter' if is_param else 'local'} "
                        f"'{name}' by reference into a scheduled task with "
-                       "no dominating Wait() in this scope"))
+                       "no dominating Wait() in this scope" + UNJOINED))
 
     # Call sites of requires-join functions: the argument group must be
     # joined later in this scope, or be our own parameter (in which case
@@ -982,4 +992,4 @@ def _capture_findings(facts, out, requires_join):
                     function=func.name, file=func.file, line=line,
                     detail=f"'{callee}' submits tasks to '{base}' "
                            f"(requires-join summary) but no {base}.Wait() "
-                           "follows in this scope"))
+                           "follows in this scope" + UNJOINED))

@@ -3,10 +3,12 @@
 // Three by-reference captures are handed to task groups that are never
 // joined in a scope that dominates the captured frame: a default [&]
 // capture, a named &counter capture, and an unjoined call into a helper
-// whose requires-join summary says the caller must Wait(). FanOutBody's
-// own recursive Submit is clean (the summary charges the root call site),
-// and FanOutJoined / JoinedRefCapture / ValueCapture show the joined and
-// by-value shapes the rule must not flag.
+// whose requires-join summary says the caller must Wait(). The fourth is a
+// default [&] capture that a Wait() does follow: a bare [&] names no local
+// to check against the join, so the rule reports it anyway. FanOutBody's own
+// recursive Submit is clean (the summary charges the root call site), and
+// FanOutJoined / JoinedRefCapture / ValueCapture / UnsubmittedRefLambda show
+// the joined, by-value and never-submitted shapes the rule must not flag.
 
 namespace memagg {
 
@@ -49,6 +51,12 @@ void NamedRefCapture() {
   group.Submit([&counter] { counter++; });  // planted: unjoined &counter
 }
 
+void JoinedDefaultRefCapture(TaskGroup& group) {
+  int counter = 0;
+  group.Submit([&] { counter++; });  // planted: [&] even though joined
+  group.Wait();
+}
+
 void JoinedRefCapture() {
   TaskGroup group;
   int counter = 0;
@@ -60,6 +68,12 @@ void ValueCapture() {
   TaskGroup group;
   int seed = 42;
   group.Submit([seed] { (void)seed; });  // clean: by-value capture
+}
+
+void UnsubmittedRefLambda() {
+  int counter = 0;
+  auto body = [&] { counter++; };  // clean: called here, never submitted
+  body();
 }
 
 }  // namespace memagg

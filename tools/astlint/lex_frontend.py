@@ -4,8 +4,8 @@ Reduces a source file to a FileModel without an AST: comments and strings
 are blanked (preserving line breaks), lock events (guard constructions,
 direct Lock/Unlock calls, REQUIRES entry conditions) are located by regex,
 and a brace-scope walk replays them to find what was held at each
-acquisition. Morsel-body and aggregator rules reuse the span matching that
-tools/lint_invariants.py established.
+acquisition. Morsel-body and aggregator rules match brace spans over the
+same stripped text (the text utilities live in dataflow.py).
 
 The walk understands the repo's idioms:
   * RAII guards (MutexLock, SpinLockGuard, std::lock_guard, ...) hold from
@@ -25,58 +25,9 @@ import re
 from pathlib import Path
 
 import dataflow
+from dataflow import line_of, match_brace_span, strip_comments_and_strings
 from model import (AcquireEdge, AggregatorConstruction, FileModel,
                    GUARD_CLASSES, MorselFlag, STRIPE_GUARD, canon_lock)
-
-
-# --- Text utilities (same contract as tools/lint_invariants.py) --------------
-
-def strip_comments_and_strings(text):
-    """Blanks out comments and string/char literals, preserving line breaks
-    so reported line numbers match the file."""
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
-            j = n if j == -1 else j
-            out.append(" " * (j - i))
-            i = j
-        elif c == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2)
-            j = n if j == -1 else j + 2
-            out.append("".join(ch if ch == "\n" else " " for ch in text[i:j]))
-            i = j
-        elif c in "\"'":
-            quote = c
-            j = i + 1
-            while j < n and text[j] != quote:
-                j += 2 if text[j] == "\\" else 1
-            j = min(j + 1, n)
-            out.append(quote + " " * (j - i - 2) + (quote if j - i > 1 else ""))
-            i = j
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
-def line_of(text, offset):
-    return text.count("\n", 0, offset) + 1
-
-
-def match_brace_span(text, open_brace):
-    """Returns the offset one past the brace matching text[open_brace]."""
-    depth = 0
-    for i in range(open_brace, len(text)):
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return len(text)
 
 
 # --- Lock-event patterns -----------------------------------------------------

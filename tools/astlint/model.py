@@ -417,9 +417,7 @@ def check_task_capture(models, _ranks):
         for capture in model.task_captures:
             violations.append(Violation(
                 capture.file, capture.line, RULE_TASK_CAPTURE,
-                f"{capture.function}: {capture.detail} — the task can "
-                "outlive the captured frame; join with Wait() before the "
-                "scope ends or capture by value"))
+                f"{capture.function}: {capture.detail}"))
     return violations
 
 

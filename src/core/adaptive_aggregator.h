@@ -46,7 +46,7 @@
 #include "core/advisor.h"
 #include "core/aggregate.h"
 #include "core/concepts.h"
-#include "core/hash_aggregator.h"
+#include "core/group_store_aggregator.h"
 #include "core/local_partition_aggregator.h"
 #include "core/migratable.h"
 #include "core/operator.h"
@@ -67,7 +67,7 @@ namespace memagg {
 /// single-worker degenerate case; the parallel five are the classic
 /// parallel-aggregation designs (Cieslewicz & Ross lineage).
 enum class AggStrategy : int {
-  kSerialHash = 0,  ///< HashVectorAggregator<LinearProbingMap> (1 worker).
+  kSerialHash = 0,  ///< GroupStoreAggregator<LinearProbingMap> (1 worker).
   kLocalCentral,    ///< Worker-local tables, serial central merge.
   kLocalTree,       ///< Worker-local tables, parallel pairwise-tree merge.
   kRadix,           ///< Incremental radix partitioning, per-partition tables.
@@ -321,7 +321,7 @@ class AdaptiveAggregator final : public VectorAggregator {
       case AggStrategy::kSerialHash:
         MEMAGG_CHECK(workers == 1);
         op_ = std::make_unique<
-            HashVectorAggregator<LinearProbingMap, Aggregate>>(
+            GroupStoreAggregator<LinearProbingMap, Aggregate>>(
             expected_groups, aggregate_);
         break;
       case AggStrategy::kLocalCentral:

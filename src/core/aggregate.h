@@ -217,7 +217,7 @@ inline double PercentileOfRun(uint64_t* values, size_t count, int percent) {
 /// compile-time-parameterized generalization of MEDIAN (the paper lists
 /// Quantile with Median and Rank as the canonical holistic functions,
 /// Section 2). Use directly with the operator templates, e.g.
-/// HashVectorAggregator<LinearProbingMap, QuantileAggregate<90>>.
+/// GroupStoreAggregator<LinearProbingMap, QuantileAggregate<90>>.
 template <int P>
 struct QuantileAggregate {
   static_assert(P >= 0 && P <= 100, "percentile must be within [0, 100]");

@@ -32,6 +32,14 @@
 //   composite key codec          TableKeyCodec           PackedKeyCodec,
 //                                                        DictKeyCodec
 //
+// One operator serves both serial roles: GroupStoreAggregator
+// (core/group_store_aggregator.h) is constrained on GroupMap ||
+// OrderedGroupStore, sizes and reserves only a GroupMap, and answers Q7
+// natively only over an OrderedGroupStore. The emit, drain, fold and stats
+// steps in the same header take any GroupContainer — the part all three
+// table roles share — so the partitioned and concurrent families use them
+// too.
+//
 // Placement note: AllocatorPolicy and MemoryTracer are defined in their own
 // layers (mem/, util/) because the container headers below core/ constrain
 // their template parameters with them; this header re-exports them by
@@ -82,18 +90,25 @@ struct MutatingGroupVisitor {
 
 // --- Group containers -------------------------------------------------------
 
-/// The observable surface shared by every serial group container, hash or
-/// tree: keyed upsert slots, const-correct lookup, size and footprint
-/// introspection, and whole-structure iteration.
+/// What every group container offers, serial or concurrent: size and
+/// footprint introspection and a walk over every (key, state) pair. The
+/// emit, drain and stats steps of core/group_store_aggregator.h need no
+/// more.
+template <typename M, typename V>
+concept GroupContainer = requires(const M& cmap) {
+  { cmap.size() } -> std::convertible_to<size_t>;
+  { cmap.MemoryBytes() } -> std::convertible_to<size_t>;
+  cmap.ForEach(concept_internal::GroupVisitor<V>{});
+};
+
+/// The surface shared by every serial group container, hash or tree: a
+/// GroupContainer with keyed upsert slots and const-correct lookup.
 template <typename M, typename V>
 concept GroupStoreBase =
-    requires(M map, const M& cmap, EncodedKey key) {
+    GroupContainer<M, V> && requires(M map, const M& cmap, EncodedKey key) {
       { map.GetOrInsert(key) } -> std::same_as<V&>;
       { cmap.Find(key) } -> std::same_as<const V*>;
       { map.Find(key) } -> std::same_as<V*>;
-      { cmap.size() } -> std::convertible_to<size_t>;
-      { cmap.MemoryBytes() } -> std::convertible_to<size_t>;
-      cmap.ForEach(concept_internal::GroupVisitor<V>{});
     };
 
 /// Serial hash-table role (paper Section 3.2): pre-sized from an expected
@@ -134,12 +149,7 @@ concept SharedAllocGroupMap =
 /// allocators — plus quiescent iteration and introspection.
 template <typename M, typename V>
 concept ConcurrentGroupMap =
-    std::constructible_from<M, size_t> &&
-    requires(const M& cmap) {
-      { cmap.size() } -> std::convertible_to<size_t>;
-      { cmap.MemoryBytes() } -> std::convertible_to<size_t>;
-      cmap.ForEach(concept_internal::GroupVisitor<V>{});
-    } &&
+    std::constructible_from<M, size_t> && GroupContainer<M, V> &&
     (UpsertGroupMap<M, V> || SharedAllocGroupMap<M, V>);
 
 // --- Aggregate function policies --------------------------------------------

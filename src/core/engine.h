@@ -106,8 +106,8 @@ struct VectorQueryExecution {
 /// time measured here (what they leave out is kUnattributed), the
 /// operator's own subphases and structure counters (CollectStats), and —
 /// for parallel labels — the morsel/worker accounting recorded by the
-/// executor. This is the one vector-query path; GroupByAggregate forwards
-/// to it, and ExecuteTableQuery reaches its body through
+/// executor. This is the one vector-query path: the one-call API for
+/// column vectors, which ExecuteTableQuery reaches through
 /// ExecuteCompositeQuery.
 ///
 /// `expected_size` is the most groups the caller expects, and a ceiling:

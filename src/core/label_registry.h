@@ -36,7 +36,7 @@
 #include "core/composite_aggregate.h"
 #include "core/concepts.h"
 #include "core/engine.h"
-#include "core/hash_aggregator.h"
+#include "core/group_store_aggregator.h"
 #include "core/local_partition_aggregator.h"
 #include "core/mph_aggregator.h"
 #include "core/operator.h"
@@ -45,7 +45,6 @@
 #include "core/scalar.h"
 #include "core/sort_aggregator.h"
 #include "core/sorters.h"
-#include "core/tree_aggregator.h"
 #include "exec/executor.h"
 #include "hash/chaining_map.h"
 #include "hash/cuckoo_map.h"
@@ -117,44 +116,33 @@ struct Traced {
   using type = Structure<Value, Tracer>;
 };
 
-/// Serial hash table (paper Section 3.2).
-template <template <typename, typename...> class MapT>
-struct Hash {
-  static constexpr AlgorithmCategory kCategory = AlgorithmCategory::kHash;
+/// A serial group store (paper Sections 3.2 and 3.3): a hash table, or an
+/// ordered index, which makes the row a tree and gives it a Q6 scalar-median
+/// operator.
+template <template <typename, typename...> class StoreT>
+struct GroupStore {
+  static constexpr bool kOrdered =
+      OrderedGroupStore<StoreT<uint64_t>, uint64_t>;
+  static constexpr AlgorithmCategory kCategory =
+      kOrdered ? AlgorithmCategory::kTree : AlgorithmCategory::kHash;
   template <MergeableAggregatePolicy Aggregate, MemoryTracer Tracer>
   static std::unique_ptr<VectorAggregator> Make(const Aggregate& aggregate,
                                                 size_t expected_size,
                                                 const ExecutionContext&) {
     if constexpr (Tracer::kEnabled) {
-      return std::make_unique<HashVectorAggregator<
-          Traced<MapT, Tracer>::template type, Aggregate>>(expected_size,
-                                                           aggregate);
+      return std::make_unique<GroupStoreAggregator<
+          Traced<StoreT, Tracer>::template type, Aggregate>>(expected_size,
+                                                             aggregate);
     } else {
-      return std::make_unique<HashVectorAggregator<MapT, Aggregate>>(
+      return std::make_unique<GroupStoreAggregator<StoreT, Aggregate>>(
           expected_size, aggregate);
     }
   }
-};
-
-/// Ordered index (paper Section 3.3).
-template <template <typename, typename...> class TreeT>
-struct Tree {
-  static constexpr AlgorithmCategory kCategory = AlgorithmCategory::kTree;
-  template <MergeableAggregatePolicy Aggregate, MemoryTracer Tracer>
-  static std::unique_ptr<VectorAggregator> Make(const Aggregate& aggregate,
-                                                size_t,
-                                                const ExecutionContext&) {
-    if constexpr (Tracer::kEnabled) {
-      return std::make_unique<TreeVectorAggregator<
-          Traced<TreeT, Tracer>::template type, Aggregate>>(aggregate);
-    } else {
-      return std::make_unique<TreeVectorAggregator<TreeT, Aggregate>>(
-          aggregate);
-    }
-  }
   static std::unique_ptr<ScalarAggregator> MakeScalarMedian(
-      const ExecutionContext&) {
-    return std::make_unique<TreeScalarMedianAggregator<TreeT>>();
+      const ExecutionContext&)
+    requires kOrdered
+  {
+    return std::make_unique<TreeScalarMedianAggregator<StoreT>>();
   }
 };
 
@@ -197,8 +185,8 @@ struct Cuckoo {
       return std::make_unique<CuckooParallelAggregator<Aggregate>>(
           expected_size, exec, aggregate);
     }
-    return Hash<CuckooMap>::Make<Aggregate, Tracer>(aggregate, expected_size,
-                                                    exec);
+    return GroupStore<CuckooMap>::Make<Aggregate, Tracer>(
+        aggregate, expected_size, exec);
   }
 };
 
@@ -312,14 +300,17 @@ constexpr LabelRow Row(const char* name) {
 template <MemoryTracer T>
 inline constexpr LabelRow kLabelTable[] = {
     // Paper Table 3 (serial) and Table 8 (concurrent).
-    Row<T, family::Tree<ArtTree>, kTable3 | kScalarMedian | kTraced>("ART"),
-    Row<T, family::Tree<JudyArray>, kTable3 | kScalarMedian | kTraced>(
-        "Judy"),
-    Row<T, family::Tree<BTree>, kTable3 | kScalarMedian | kTraced>("Btree"),
-    Row<T, family::Hash<ChainingMap>, kTable3 | kTraced>("Hash_SC"),
-    Row<T, family::Hash<LinearProbingMap>, kTable3 | kTraced>("Hash_LP"),
-    Row<T, family::Hash<SparseMap>, kTable3 | kTraced>("Hash_Sparse"),
-    Row<T, family::Hash<DenseMap>, kTable3 | kTraced>("Hash_Dense"),
+    Row<T, family::GroupStore<ArtTree>, kTable3 | kScalarMedian | kTraced>(
+        "ART"),
+    Row<T, family::GroupStore<JudyArray>,
+        kTable3 | kScalarMedian | kTraced>("Judy"),
+    Row<T, family::GroupStore<BTree>, kTable3 | kScalarMedian | kTraced>(
+        "Btree"),
+    Row<T, family::GroupStore<ChainingMap>, kTable3 | kTraced>("Hash_SC"),
+    Row<T, family::GroupStore<LinearProbingMap>, kTable3 | kTraced>(
+        "Hash_LP"),
+    Row<T, family::GroupStore<SparseMap>, kTable3 | kTraced>("Hash_Sparse"),
+    Row<T, family::GroupStore<DenseMap>, kTable3 | kTraced>("Hash_Dense"),
     Row<T, family::SharedChaining, kParallel | kTable8>("Hash_TBBSC"),
     Row<T, family::Cuckoo, kParallel | kTable3 | kTable8 | kTraced>(
         "Hash_LC"),
@@ -336,9 +327,10 @@ inline constexpr LabelRow kLabelTable[] = {
     // ART and Hash_SC (global operator new instead of the arena pool,
     // docs/memory.md), the operators beyond the paper, and the
     // microbenchmark sorts.
-    Row<T, family::Tree<TTree>, kScalarMedian | kTraced>("Ttree"),
-    Row<T, family::Tree<ArtTreeGlobalNew>, 0>("ART_Global"),
-    Row<T, family::Hash<ChainingMapGlobalNew>, 0>("Hash_SC_Global"),
+    Row<T, family::GroupStore<TTree>, kScalarMedian | kTraced>("Ttree"),
+    Row<T, family::GroupStore<ArtTreeGlobalNew>, 0>("ART_Global"),
+    Row<T, family::GroupStore<ChainingMapGlobalNew>, 0>(
+        "Hash_SC_Global"),
     Row<T, family::Operator<MphVectorAggregator>, 0>("Hash_MPH"),
     Row<T, family::Operator<LocalPartitionAggregator>, kParallel>(
         "Hash_PLocal"),

@@ -25,6 +25,7 @@
 
 #include "core/aggregate.h"
 #include "core/concepts.h"
+#include "core/group_store_aggregator.h"
 #include "core/migratable.h"
 #include "core/operator.h"
 #include "core/result.h"
@@ -98,13 +99,7 @@ class LocalPartitionAggregator final : public MigratableAggregator<Aggregate> {
         MergeTree();
       }
     }
-    LinearProbingMap<State>& merged = *locals_[0];
-    VectorResult result;
-    result.reserve(merged.size());
-    merged.ForEach([this, &result](EncodedKey key, const State& state) {
-      result.push_back({key, aggregate_.Finalize(const_cast<State&>(state))});
-    });
-    return result;
+    return EmitGroups(*locals_[0], aggregate_);
   }
 
   // --- MigratableAggregator (core/migratable.h) -----------------------------
@@ -125,9 +120,7 @@ class LocalPartitionAggregator final : public MigratableAggregator<Aggregate> {
     // absorber's Merge recombines them, so no pre-merge pass is needed.
     out.partials.reserve(NumGroups());
     for (auto& local : locals_) {
-      local->ForEach([&out](EncodedKey key, const State& state) {
-        out.partials.emplace_back(key, std::move(const_cast<State&>(state)));
-      });
+      DrainGroups(*local, &out);
       *local = LinearProbingMap<State>(2);
     }
     return out;
@@ -135,12 +128,10 @@ class LocalPartitionAggregator final : public MigratableAggregator<Aggregate> {
 
   void AbsorbPartialState(Partial&& partial) override {
     LinearProbingMap<State>& local = *locals_[0];
-    for (auto& [key, state] : partial.partials) {
-      aggregate_.Merge(local.GetOrInsert(key), state);
-    }
-    for (const auto& [key, value] : partial.records) {
-      aggregate_.Update(local.GetOrInsert(key), value);
-    }
+    FoldGroups(
+        partial,
+        [&local](EncodedKey key) -> State& { return local.GetOrInsert(key); },
+        aggregate_);
     rows_consumed_[0] += partial.rows;
   }
 
@@ -160,14 +151,7 @@ class LocalPartitionAggregator final : public MigratableAggregator<Aggregate> {
   void CollectStats(QueryStats* stats) const override {
     stats->Merge(stats_);
     stats->Add(StatCounter::kPartitions, locals_.size());
-    for (const auto& local : locals_) {
-      stats->Add(StatCounter::kHashEntries, local->size());
-      stats->Add(StatCounter::kRehashes, local->rehashes());
-      const auto probe = local->ComputeProbeStats();
-      stats->Add(StatCounter::kProbeTotal, probe.total_probes);
-      stats->MaxOf(StatCounter::kProbeMax, probe.max_probe);
-      AddAllocStats(stats, local->AllocatorStats());
-    }
+    for (const auto& local : locals_) AddStoreStats<State>(*local, stats);
   }
 
  private:
@@ -176,9 +160,7 @@ class LocalPartitionAggregator final : public MigratableAggregator<Aggregate> {
   /// wholesale — one deallocation per partition, not one per entry.
   void MergeInto(LinearProbingMap<State>& into,
                  LinearProbingMap<State>& from) const {
-    from.ForEach([this, &into](EncodedKey key, const State& state) {
-      aggregate_.Merge(into.GetOrInsert(key), const_cast<State&>(state));
-    });
+    FoldGroups(from, into, aggregate_);
     from = LinearProbingMap<State>(2);
   }
 

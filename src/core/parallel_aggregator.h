@@ -2,15 +2,18 @@
 //
 // The paper's three concurrency requirements for a shared data structure:
 // thread-safe insert AND update (not just put/get), scaling with threads,
-// and full iteration. Two operator families qualify:
+// and full iteration. Two kinds of operator qualify:
 //
-//   * concurrent hash tables — all threads build one shared table.
-//     Hash_TBBSC updates group state with atomics / per-group locks (the
-//     analogue of the paper storing a tbb::concurrent_vector per group,
-//     including its synchronization overhead on Q3); Hash_LC applies updates
-//     through the upsert callback, which runs under the table's own bucket
-//     locks (libcuckoo's user-defined upsert, which the paper calls out as
-//     the feature that avoids TBB's Q3 overhead).
+//   * concurrent hash tables — all threads build one shared table. This
+//     file defines three families of them. Hash_TBBSC updates group state
+//     with atomics / per-group locks (the analogue of the paper storing a
+//     tbb::concurrent_vector per group, including its synchronization
+//     overhead on Q3); Hash_LC applies updates through the upsert callback,
+//     which runs under the table's own bucket locks (libcuckoo's
+//     user-defined upsert, which the paper calls out as the feature that
+//     avoids TBB's Q3 overhead); Hash_Striped upserts under the stripe locks
+//     of lock-striped serial tables. They emit, drain and count their groups
+//     through the shared steps of core/group_store_aggregator.h.
 //
 //   * parallel sorts — SortVectorAggregator already handles these: pass a
 //     parallel sorter (BlockIndirectSorter / ParallelQuicksortSorter) from
@@ -31,6 +34,7 @@
 #include "core/aggregate.h"
 #include "core/composite_aggregate.h"
 #include "core/concepts.h"
+#include "core/group_store_aggregator.h"
 #include "core/migratable.h"
 #include "core/operator.h"
 #include "core/result.h"
@@ -301,22 +305,14 @@ class TbbStyleParallelAggregator final : public VectorAggregator {
     }
   }
 
-  VectorResult Iterate() override {
-    VectorResult result;
-    result.reserve(map_.size());
-    map_.ForEach([this, &result](EncodedKey key, const State& state) {
-      result.push_back(
-          {key, aggregate_.Finalize(const_cast<State&>(state))});
-    });
-    return result;
-  }
+  VectorResult Iterate() override { return EmitGroups(map_, aggregate_); }
 
   size_t NumGroups() const override { return map_.size(); }
 
   size_t DataStructureBytes() const override { return map_.MemoryBytes(); }
 
   void CollectStats(QueryStats* stats) const override {
-    stats->Add(StatCounter::kHashEntries, map_.size());
+    AddStoreStats<State>(map_, stats);
     // Pool handles report their freelist traffic; arena backing is counted
     // here only when this operator owns it (borrowed pools belong to the
     // context, which reports them once for the whole query).
@@ -365,22 +361,14 @@ class CuckooParallelAggregator final : public VectorAggregator {
     }
   }
 
-  VectorResult Iterate() override {
-    VectorResult result;
-    result.reserve(map_.size());
-    map_.ForEach([this, &result](EncodedKey key, const State& state) {
-      result.push_back({key, aggregate_.Finalize(const_cast<State&>(state))});
-    });
-    return result;
-  }
+  VectorResult Iterate() override { return EmitGroups(map_, aggregate_); }
 
   size_t NumGroups() const override { return map_.size(); }
 
   size_t DataStructureBytes() const override { return map_.MemoryBytes(); }
 
   void CollectStats(QueryStats* stats) const override {
-    stats->Add(StatCounter::kHashEntries, map_.size());
-    stats->Add(StatCounter::kCuckooKicks, map_.kicks());
+    AddStoreStats<State>(map_, stats);
   }
 
  private:
@@ -427,14 +415,7 @@ class StripedParallelAggregator final : public MigratableAggregator<Aggregate> {
     rows_consumed_[m.worker] += m.end - m.begin;
   }
 
-  VectorResult Iterate() override {
-    VectorResult result;
-    result.reserve(map_.size());
-    map_.ForEach([this, &result](EncodedKey key, const State& state) {
-      result.push_back({key, aggregate_.Finalize(const_cast<State&>(state))});
-    });
-    return result;
-  }
+  VectorResult Iterate() override { return EmitGroups(map_, aggregate_); }
 
   // --- MigratableAggregator (core/migratable.h) -----------------------------
 
@@ -447,9 +428,7 @@ class StripedParallelAggregator final : public MigratableAggregator<Aggregate> {
   Partial ExtractPartialState() override {
     Partial out;
     out.partials.reserve(map_.size());
-    map_.ForEach([&out](EncodedKey key, const State& state) {
-      out.partials.emplace_back(key, std::move(const_cast<State&>(state)));
-    });
+    DrainGroups(map_, &out);
     for (int w = 0; w < rows_consumed_.size(); ++w) {
       out.rows += rows_consumed_[w];
       rows_consumed_[w] = 0;
@@ -477,14 +456,9 @@ class StripedParallelAggregator final : public MigratableAggregator<Aggregate> {
   size_t DataStructureBytes() const override { return map_.MemoryBytes(); }
 
   void CollectStats(QueryStats* stats) const override {
-    stats->Add(StatCounter::kHashEntries, map_.size());
     stats->Add(StatCounter::kPartitions, map_.num_stripes());
     map_.ForEachStripe([stats](const LinearProbingMap<State>& stripe) {
-      stats->Add(StatCounter::kRehashes, stripe.rehashes());
-      const auto probe = stripe.ComputeProbeStats();
-      stats->Add(StatCounter::kProbeTotal, probe.total_probes);
-      stats->MaxOf(StatCounter::kProbeMax, probe.max_probe);
-      AddAllocStats(stats, stripe.AllocatorStats());
+      AddStoreStats<State>(stripe, stats);
     });
   }
 

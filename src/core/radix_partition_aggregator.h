@@ -25,6 +25,7 @@
 
 #include "core/aggregate.h"
 #include "core/concepts.h"
+#include "core/group_store_aggregator.h"
 #include "core/migratable.h"
 #include "core/operator.h"
 #include "core/result.h"
@@ -96,11 +97,7 @@ class RadixPartitionAggregator final : public MigratableAggregator<Aggregate> {
                   LinearProbingMap<State>& into = *tables_[p];
                   for (int w = 1; w < num_workers_; ++w) {
                     LinearProbingMap<State>& from = *tables_[Slot(w, p)];
-                    from.ForEach([this, &into](EncodedKey key,
-                                               const State& state) {
-                      aggregate_.Merge(into.GetOrInsert(key),
-                                       const_cast<State&>(state));
-                    });
+                    FoldGroups(from, into, aggregate_);
                     from = LinearProbingMap<State>(2);
                   }
                 }
@@ -110,11 +107,7 @@ class RadixPartitionAggregator final : public MigratableAggregator<Aggregate> {
     VectorResult result;
     result.reserve(NumGroups());
     for (size_t p = 0; p < num_partitions_; ++p) {
-      tables_[p]->ForEach([this, &result](EncodedKey key,
-                                          const State& state) {
-        result.push_back(
-            {key, aggregate_.Finalize(const_cast<State&>(state))});
-      });
+      tables_[p]->ForEach(FinalizeInto(&result, aggregate_));
     }
     return result;
   }
@@ -137,22 +130,18 @@ class RadixPartitionAggregator final : public MigratableAggregator<Aggregate> {
       out.rows += rows_consumed_[w];
       rows_consumed_[w] = 0;
     }
-    for (auto& table : tables_) {
-      table->ForEach([&out](EncodedKey key, const State& state) {
-        out.partials.emplace_back(key, std::move(const_cast<State&>(state)));
-      });
-    }
+    for (auto& table : tables_) DrainGroups(*table, &out);
     tables_.clear();
     return out;
   }
 
   void AbsorbPartialState(Partial&& partial) override {
-    for (auto& [key, state] : partial.partials) {
-      aggregate_.Merge(tables_[PartitionOf(key)]->GetOrInsert(key), state);
-    }
-    for (const auto& [key, value] : partial.records) {
-      aggregate_.Update(tables_[PartitionOf(key)]->GetOrInsert(key), value);
-    }
+    FoldGroups(
+        partial,
+        [this](EncodedKey key) -> State& {
+          return tables_[PartitionOf(key)]->GetOrInsert(key);
+        },
+        aggregate_);
     rows_consumed_[0] += partial.rows;
   }
 
@@ -173,15 +162,8 @@ class RadixPartitionAggregator final : public MigratableAggregator<Aggregate> {
   void CollectStats(QueryStats* stats) const override {
     stats->Merge(stats_);
     stats->Add(StatCounter::kPartitions, num_partitions_);
-    for (const auto& table : tables_) {
-      stats->Add(StatCounter::kHashEntries, table->size());
-      stats->Add(StatCounter::kRehashes, table->rehashes());
-      const auto probe = table->ComputeProbeStats();
-      stats->Add(StatCounter::kProbeTotal, probe.total_probes);
-      stats->MaxOf(StatCounter::kProbeMax, probe.max_probe);
-      // Each table owns a private arena, freed wholesale with the table.
-      AddAllocStats(stats, table->AllocatorStats());
-    }
+    // Each table owns a private arena, freed wholesale with the table.
+    for (const auto& table : tables_) AddStoreStats<State>(*table, stats);
   }
 
  private:

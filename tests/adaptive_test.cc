@@ -20,12 +20,20 @@
 
 #include "core/advisor.h"
 #include "core/engine.h"
+#include "core/group_store_aggregator.h"
 #include "core/migratable.h"
 #include "core/query.h"
-#include "core/tree_aggregator.h"
 #include "data/dataset.h"
+#include "hash/chaining_map.h"
+#include "hash/cuckoo_map.h"
+#include "hash/dense_map.h"
+#include "hash/linear_probing_map.h"
+#include "hash/sparse_map.h"
 #include "test_util.h"
 #include "tree/art.h"
+#include "tree/btree.h"
+#include "tree/judy.h"
+#include "tree/ttree.h"
 
 namespace memagg {
 namespace {
@@ -42,10 +50,10 @@ template <MergeableAggregatePolicy Aggregate>
 std::vector<Migratable<Aggregate>> AllMigratables(size_t expected,
                                                   ExecutionContext exec) {
   std::vector<Migratable<Aggregate>> out;
-  out.push_back({"hash", std::make_unique<HashVectorAggregator<
+  out.push_back({"hash", std::make_unique<GroupStoreAggregator<
                              LinearProbingMap, Aggregate>>(expected)});
-  out.push_back(
-      {"tree", std::make_unique<TreeVectorAggregator<ArtTree, Aggregate>>()});
+  out.push_back({"tree", std::make_unique<GroupStoreAggregator<
+                             ArtTree, Aggregate>>(expected)});
   out.push_back({"local-central",
                  std::make_unique<LocalPartitionAggregator<Aggregate>>(
                      expected, exec, Aggregate{}, LocalMergeMode::kCentral)});
@@ -129,6 +137,81 @@ TEST(MigratableTest, EveryPairMigratesExactly) {
   ExpectEveryPairMigratesExactly<CountAggregate>(AggregateFunction::kCount);
   ExpectEveryPairMigratesExactly<SumAggregate>(AggregateFunction::kSum);
   ExpectEveryPairMigratesExactly<MedianAggregate>(AggregateFunction::kMedian);
+}
+
+// One relay through the group store `StoreT`, registered as `label`. The
+// sort strategy absorbs a hash table's groups and buffers the next rows
+// raw, so the partial the store absorbs carries both partial groups and
+// records. The store consumes more rows, then drains into worker-local
+// tables, which finish the input.
+template <template <typename> class StoreT, MergeableAggregatePolicy Aggregate>
+void ExpectStoreRelaysExactly(const char* label, AggregateFunction fn) {
+  DatasetSpec spec{Distribution::kRseqShuffled, 20000, 512, 78};
+  const auto keys = GenerateKeys(spec);
+  const auto values = GenerateValues(keys.size(), 1000, 79);
+  auto expected = ReferenceVectorAggregate(keys, values, fn);
+  SortByKey(expected);
+  const std::string context =
+      std::string(label) + " " + AggregateFunctionName(fn);
+  const size_t grain = 1024;
+  const size_t num_morsels = NumMorselsFor(keys.size(), grain);
+  const size_t quarter = num_morsels / 4;
+
+  GroupStoreAggregator<LinearProbingMap, Aggregate> hash(512);
+  hash.BeginConsume(1, keys.size());
+  ConsumeRange(&hash, keys, values.data(), grain, 0, quarter);
+  SortVectorAggregator<BlockIndirectSorter, Aggregate> sort;
+  sort.BeginConsume(1, keys.size());
+  sort.AbsorbPartialState(hash.ExtractPartialState());
+  ConsumeRange(&sort, keys, values.data(), grain, quarter, 2 * quarter);
+  PartialAggState<Aggregate> partial = sort.ExtractPartialState();
+  EXPECT_FALSE(partial.partials.empty()) << context;
+  EXPECT_FALSE(partial.records.empty()) << context;
+
+  GroupStoreAggregator<StoreT, Aggregate> store(512);
+  store.BeginConsume(1, keys.size());
+  store.AbsorbPartialState(std::move(partial));
+  ConsumeRange(&store, keys, values.data(), grain, 2 * quarter, 3 * quarter);
+  EXPECT_EQ(store.Progress().rows, 3 * quarter * grain) << context;
+
+  LocalPartitionAggregator<Aggregate> local(512, ExecutionContext{1});
+  local.BeginConsume(1, keys.size());
+  local.AbsorbPartialState(store.ExtractPartialState());
+  ConsumeRange(&local, keys, values.data(), grain, 3 * quarter, num_morsels);
+  local.EndBatch();
+  auto result = local.Iterate();
+  SortByKey(result);
+
+  ASSERT_EQ(result.size(), expected.size()) << context;
+  for (size_t i = 0; i < result.size(); ++i) {
+    EXPECT_EQ(result[i].key, expected[i].key) << context;
+    EXPECT_DOUBLE_EQ(result[i].value, expected[i].value) << context;
+  }
+}
+
+template <MergeableAggregatePolicy Aggregate>
+void ExpectEveryGroupStoreRelaysExactly(AggregateFunction fn) {
+  ExpectStoreRelaysExactly<ArtTree, Aggregate>("ART", fn);
+  ExpectStoreRelaysExactly<JudyArray, Aggregate>("Judy", fn);
+  ExpectStoreRelaysExactly<BTree, Aggregate>("Btree", fn);
+  ExpectStoreRelaysExactly<ChainingMap, Aggregate>("Hash_SC", fn);
+  ExpectStoreRelaysExactly<LinearProbingMap, Aggregate>("Hash_LP", fn);
+  ExpectStoreRelaysExactly<SparseMap, Aggregate>("Hash_Sparse", fn);
+  ExpectStoreRelaysExactly<DenseMap, Aggregate>("Hash_Dense", fn);
+  ExpectStoreRelaysExactly<CuckooMap, Aggregate>("Hash_LC", fn);
+  ExpectStoreRelaysExactly<TTree, Aggregate>("Ttree", fn);
+  ExpectStoreRelaysExactly<ArtTreeGlobalNew, Aggregate>("ART_Global", fn);
+  ExpectStoreRelaysExactly<ChainingMapGlobalNew, Aggregate>("Hash_SC_Global",
+                                                            fn);
+}
+
+// Each of the registry's 11 group-store rows absorbs partial groups and
+// records and drains into another strategy, outside the pair loop above.
+TEST(MigratableTest, EveryGroupStoreAbsorbsAndDrainsExactly) {
+  ExpectEveryGroupStoreRelaysExactly<CountAggregate>(AggregateFunction::kCount);
+  ExpectEveryGroupStoreRelaysExactly<SumAggregate>(AggregateFunction::kSum);
+  ExpectEveryGroupStoreRelaysExactly<MedianAggregate>(
+      AggregateFunction::kMedian);
 }
 
 template <MergeableAggregatePolicy Aggregate>

@@ -4,7 +4,7 @@
 
 #include <cstdint>
 
-#include "core/hash_aggregator.h"
+#include "core/group_store_aggregator.h"
 #include "hash/linear_probing_map.h"
 
 namespace memagg {
@@ -16,7 +16,7 @@ struct NoUpdateAggregate {
   static double Finalize(const State& state);
 };
 
-using Broken = HashVectorAggregator<LinearProbingMap, NoUpdateAggregate>;
+using Broken = GroupStoreAggregator<LinearProbingMap, NoUpdateAggregate>;
 Broken* unused = nullptr;
 
 }  // namespace memagg

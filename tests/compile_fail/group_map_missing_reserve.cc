@@ -1,11 +1,12 @@
 // compile-fail: a hash container without Reserve must be rejected with
-// GroupMap in the diagnostic — ReserveGroups() calls it unconditionally.
+// GroupMap in the diagnostic — ReserveGroups() pre-sizes every hash table
+// through it.
 
 #include <cstddef>
 #include <cstdint>
 
 #include "core/aggregate.h"
-#include "core/hash_aggregator.h"
+#include "core/group_store_aggregator.h"
 
 namespace memagg {
 
@@ -22,7 +23,7 @@ class NoReserveMap {
   void ForEach(Fn fn) const;
 };
 
-using Broken = HashVectorAggregator<NoReserveMap, SumAggregate>;
+using Broken = GroupStoreAggregator<NoReserveMap, SumAggregate>;
 Broken* unused = nullptr;
 
 }  // namespace memagg

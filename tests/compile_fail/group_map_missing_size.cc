@@ -1,11 +1,11 @@
 // compile-fail: a hash container without size() must be rejected at
-// HashVectorAggregator's instantiation site with GroupMap in the diagnostic.
+// GroupStoreAggregator's instantiation site with GroupMap in the diagnostic.
 
 #include <cstddef>
 #include <cstdint>
 
 #include "core/aggregate.h"
-#include "core/hash_aggregator.h"
+#include "core/group_store_aggregator.h"
 
 namespace memagg {
 
@@ -22,7 +22,7 @@ class NoSizeMap {
   void ForEach(Fn fn) const;
 };
 
-using Broken = HashVectorAggregator<NoSizeMap, SumAggregate>;
+using Broken = GroupStoreAggregator<NoSizeMap, SumAggregate>;
 Broken* unused = nullptr;
 
 }  // namespace memagg

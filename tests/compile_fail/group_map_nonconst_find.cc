@@ -6,7 +6,7 @@
 #include <cstdint>
 
 #include "core/aggregate.h"
-#include "core/hash_aggregator.h"
+#include "core/group_store_aggregator.h"
 
 namespace memagg {
 
@@ -24,7 +24,7 @@ class NonConstFindMap {
   void ForEach(Fn fn) const;
 };
 
-using Broken = HashVectorAggregator<NonConstFindMap, SumAggregate>;
+using Broken = GroupStoreAggregator<NonConstFindMap, SumAggregate>;
 Broken* unused = nullptr;
 
 }  // namespace memagg

@@ -1,12 +1,12 @@
 // compile-fail: a tree without range-filtered iteration must be rejected at
-// TreeVectorAggregator's instantiation site with OrderedGroupStore in the
+// GroupStoreAggregator's instantiation site with OrderedGroupStore in the
 // diagnostic (native ForEachInRange is what makes a tree a tree here — Q7).
 
 #include <cstddef>
 #include <cstdint>
 
 #include "core/aggregate.h"
-#include "core/tree_aggregator.h"
+#include "core/group_store_aggregator.h"
 
 namespace memagg {
 
@@ -24,7 +24,7 @@ class NoRangeTree {
   // Missing: ForEachInRange(lo, hi, fn) const.
 };
 
-using Broken = TreeVectorAggregator<NoRangeTree, SumAggregate>;
+using Broken = GroupStoreAggregator<NoRangeTree, SumAggregate>;
 Broken* unused = nullptr;
 
 }  // namespace memagg

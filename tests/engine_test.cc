@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/advisor.h"
 #include "core/query.h"
 #include "data/dataset.h"
 #include "obs/query_stats.h"
@@ -127,6 +128,109 @@ TEST(EngineTest, SerialLabelRunsOnOneWorkerAtAnyThreadBudget) {
   SortByKey(execution.result);
   EXPECT_EQ(execution.result,
             ReferenceVectorAggregate(keys, {}, AggregateFunction::kCount));
+}
+
+// --- ExecuteVectorQuery as the one-call API over key/value columns. ---
+
+TEST(ExecuteVectorQueryTest, AutoCountMatchesReference) {
+  DatasetSpec spec{Distribution::kZipf, 30000, 500, 201};
+  const auto keys = GenerateKeys(spec);
+  auto result = ExecuteVectorQuery("auto", AggregateFunction::kCount,
+                                   keys.data(), nullptr, keys.size(),
+                                   keys.size())
+                    .result;
+  SortByKey(result);
+  EXPECT_EQ(result,
+            ReferenceVectorAggregate(keys, {}, AggregateFunction::kCount));
+}
+
+TEST(ExecuteVectorQueryTest, AutoMedianMatchesReference) {
+  DatasetSpec spec{Distribution::kRseqShuffled, 30000, 500, 202};
+  const auto keys = GenerateKeys(spec);
+  const auto values = GenerateValues(keys.size(), 1000, 203);
+  auto result = ExecuteVectorQuery("auto", AggregateFunction::kMedian,
+                                   keys.data(), values.data(), keys.size(),
+                                   keys.size())
+                    .result;
+  SortByKey(result);
+  EXPECT_EQ(result, ReferenceVectorAggregate(keys, values,
+                                             AggregateFunction::kMedian));
+}
+
+TEST(ExecuteVectorQueryTest, PinnedLabel) {
+  const std::vector<uint64_t> keys = {3, 1, 3, 2};
+  const auto execution =
+      ExecuteVectorQuery("Btree", AggregateFunction::kCount, keys.data(),
+                         nullptr, keys.size(), keys.size());
+  EXPECT_EQ(execution.label, "Btree");
+  const VectorResult expected = {{1, 1.0}, {2, 1.0}, {3, 2.0}};
+  EXPECT_EQ(execution.result, expected);  // Btree emits in key order.
+}
+
+TEST(ExecuteVectorQueryTest, AutoRangeConditionRoutesToTree) {
+  DatasetSpec spec{Distribution::kRseqShuffled, 20000, 1000, 204};
+  const auto keys = GenerateKeys(spec);
+  auto execution = ExecuteVectorQuery(
+      "auto", AggregateFunction::kCount, keys.data(), nullptr, keys.size(),
+      keys.size(), /*exec=*/1, KeyRange{100, 300});
+  EXPECT_EQ(CategoryOfLabel(execution.label), AlgorithmCategory::kTree);
+  SortByKey(execution.result);
+  EXPECT_EQ(execution.result,
+            ReferenceVectorAggregate(keys, {}, AggregateFunction::kCount,
+                                     100, 300));
+}
+
+TEST(ExecuteVectorQueryTest, RangeConditionOnHashPostFilters) {
+  const std::vector<uint64_t> keys = {1, 5, 9, 5, 1};
+  auto result = ExecuteVectorQuery("Hash_LP", AggregateFunction::kCount,
+                                   keys.data(), nullptr, keys.size(),
+                                   keys.size(), /*exec=*/1, KeyRange{2, 8})
+                    .result;
+  SortByKey(result);
+  const VectorResult expected = {{5, 2.0}};
+  EXPECT_EQ(result, expected);
+}
+
+TEST(ExecuteVectorQueryTest, MultithreadedAuto) {
+  DatasetSpec spec{Distribution::kHhitShuffled, 50000, 200, 205};
+  const auto keys = GenerateKeys(spec);
+  const auto values = GenerateValues(keys.size(), 100, 206);
+  for (AggregateFunction fn :
+       {AggregateFunction::kCount, AggregateFunction::kMedian}) {
+    // The advisor picks a 4-thread label: Hash_TBBSC or Sort_BI.
+    auto result = ExecuteVectorQuery("auto", fn, keys.data(), values.data(),
+                                     keys.size(), keys.size(), /*exec=*/4)
+                      .result;
+    SortByKey(result);
+    EXPECT_EQ(result, ReferenceVectorAggregate(keys, values, fn))
+        << AggregateFunctionName(fn);
+  }
+}
+
+TEST(ExecuteVectorQueryTest, EmptyInput) {
+  const auto execution = ExecuteVectorQuery(
+      "auto", AggregateFunction::kCount, nullptr, nullptr, 0, 0);
+  EXPECT_TRUE(execution.result.empty());
+}
+
+// --- Q6 through the advisor's scalar pick. ---
+
+double AdvisedScalarMedian(const std::vector<uint64_t>& column) {
+  WorkloadProfile profile;
+  profile.output = OutputFormat::kScalar;
+  auto median = MakeScalarMedianAggregator(RecommendAlgorithm(profile));
+  median->Build(column.data(), nullptr, column.size());
+  return median->Finalize();
+}
+
+TEST(ScalarMedianTest, AdvisedLabelComputesTheMedian) {
+  EXPECT_DOUBLE_EQ(AdvisedScalarMedian({5, 1, 9, 1, 4}), 4.0);
+}
+
+TEST(ScalarMedianTest, AdvisedLabelMatchesReferenceOnLargeColumn) {
+  DatasetSpec spec{Distribution::kZipf, 50001, 1000, 207};
+  const auto keys = GenerateKeys(spec);
+  EXPECT_DOUBLE_EQ(AdvisedScalarMedian(keys), ReferenceMedian(keys));
 }
 
 TEST(EngineTest, QueryDescriptorsMatchTable1) {

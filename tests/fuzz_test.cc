@@ -10,7 +10,7 @@
 
 #include "core/aggregate.h"
 #include "core/engine.h"
-#include "core/hash_aggregator.h"
+#include "core/group_store_aggregator.h"
 #include "hash/linear_probing_map.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -138,7 +138,7 @@ TEST(FuzzTest, QuantileAggregatePercentiles) {
   Rng rng(999);
   for (int round = 0; round < 8; ++round) {
     const RandomWorkload w = MakeWorkload(rng);
-    HashVectorAggregator<LinearProbingMap, QuantileAggregate<90>> aggregator(
+    GroupStoreAggregator<LinearProbingMap, QuantileAggregate<90>> aggregator(
         w.keys.size());
     aggregator.Build(w.keys.data(), w.values.data(), w.keys.size());
     auto result = aggregator.Iterate();

@@ -7,7 +7,7 @@
 #include "core/adaptive_aggregator.h"
 #include "core/aggregate.h"
 #include "core/concepts.h"
-#include "core/hash_aggregator.h"
+#include "core/group_store_aggregator.h"
 #include "core/local_partition_aggregator.h"
 #include "core/mph_aggregator.h"
 #include "core/parallel_aggregator.h"
@@ -15,16 +15,14 @@
 #include "core/scalar.h"
 #include "core/sort_aggregator.h"
 #include "core/sorters.h"
-#include "core/tree_aggregator.h"
 #include "hash/linear_probing_map.h"
 #include "tree/art.h"
 
 namespace memagg {
 
 static_assert(
-    AggregationOperator<HashVectorAggregator<LinearProbingMap, SumAggregate>>);
-static_assert(
-    AggregationOperator<TreeVectorAggregator<ArtTree, SumAggregate>>);
+    AggregationOperator<GroupStoreAggregator<LinearProbingMap, SumAggregate>>);
+static_assert(AggregationOperator<GroupStoreAggregator<ArtTree, SumAggregate>>);
 static_assert(
     AggregationOperator<SortVectorAggregator<IntrosortSorter, SumAggregate>>);
 static_assert(AggregationOperator<MphVectorAggregator<SumAggregate>>);

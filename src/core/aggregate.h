@@ -201,40 +201,6 @@ struct MedianAggregate {
   }
 };
 
-/// P-th percentile of a mutable run of values (nearest-rank definition);
-/// P = 50 matches MedianOfRun for odd counts. Reorders `values`.
-inline double PercentileOfRun(uint64_t* values, size_t count, int percent) {
-  MEMAGG_CHECK(count > 0);
-  MEMAGG_CHECK(percent >= 0 && percent <= 100);
-  size_t rank = static_cast<size_t>(
-      (static_cast<unsigned __int128>(count) * percent + 99) / 100);
-  if (rank > 0) --rank;  // Nearest-rank is 1-based; clamp to [0, count).
-  std::nth_element(values, values + rank, values + count);
-  return static_cast<double>(values[rank]);
-}
-
-/// QUANTILE(value, P): holistic, nearest-rank P-th percentile. A
-/// compile-time-parameterized generalization of MEDIAN (the paper lists
-/// Quantile with Median and Rank as the canonical holistic functions,
-/// Section 2). Use directly with the operator templates, e.g.
-/// GroupStoreAggregator<LinearProbingMap, QuantileAggregate<90>>.
-template <int P>
-struct QuantileAggregate {
-  static_assert(P >= 0 && P <= 100, "percentile must be within [0, 100]");
-  using State = std::vector<uint64_t>;
-  static constexpr bool kNeedsValues = true;
-  static void Update(State& state, uint64_t value) { state.push_back(value); }
-  static void Merge(State& into, State& from) {
-    into.insert(into.end(), from.begin(), from.end());
-  }
-  static double Finalize(State& state) {
-    return PercentileOfRun(state.data(), state.size(), P);
-  }
-  static double FinalizeRun(uint64_t* values, size_t count) {
-    return PercentileOfRun(values, count, P);
-  }
-};
-
 /// MODE(value): holistic — most frequent value; ties break to the smallest.
 struct ModeAggregate {
   using State = std::vector<uint64_t>;

@@ -28,7 +28,6 @@
 //   memory-access tracing        MemoryTracer            util/tracer.h
 //   aggregation operator         AggregationOperator /   all operator
 //                                  ScalarOperator        families
-//   columnar input table         ColumnarTable           Table (data/table.h)
 //   composite key codec          TableKeyCodec           PackedKeyCodec,
 //                                                        DictKeyCodec
 //
@@ -58,13 +57,11 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <type_traits>
 #include <utility>
 
 #include "core/operator.h"
 #include "data/key_codec.h"
-#include "data/table.h"
 #include "mem/allocator.h"
 #include "sort/sort_common.h"
 #include "util/encoded_key.h"
@@ -222,21 +219,7 @@ concept ParallelSorter = Sorter<S> && requires(S sorter, int num_threads) {
   sorter.num_threads = num_threads;
 };
 
-// --- Columnar tables and key codecs -----------------------------------------
-
-/// Columnar input-table role (data/table.h): equal-length typed columns
-/// addressable by name or index, with footprint introspection. The typed
-/// execution front-end (core/table_exec.h) is written against this surface.
-template <typename T>
-concept ColumnarTable =
-    requires(const T& table, const std::string& name, size_t index) {
-      { table.num_rows() } -> std::convertible_to<size_t>;
-      { table.num_columns() } -> std::convertible_to<size_t>;
-      { table.HasColumn(name) } -> std::convertible_to<bool>;
-      { table.ColumnIndex(name) } -> std::convertible_to<size_t>;
-      { table.ColumnAt(index) } -> std::same_as<const Column&>;
-      { table.MemoryBytes() } -> std::convertible_to<size_t>;
-    };
+// --- Key codecs -------------------------------------------------------------
 
 /// Composite-key codec role (data/key_codec.h): maps multi-column group
 /// keys to the engine's fixed-width EncodedKey and back. Operators never

@@ -91,19 +91,19 @@ const LabelRow& OperatorRow(const std::string& label,
 std::unique_ptr<VectorAggregator> MakeVectorAggregator(
     const std::string& label, AggregateFunction function, size_t expected_size,
     const ExecutionContext& exec) {
-  return OperatorRow(label, exec).make[static_cast<size_t>(function)](
-      expected_size, exec);
+  return OperatorRow(label, exec).factories().make[static_cast<size_t>(
+      function)](expected_size, exec);
 }
 
 std::unique_ptr<ScalarAggregator> MakeScalarMedianAggregator(
     const std::string& label, const ExecutionContext& exec) {
   const LabelRow& row = EngineRow(label);
-  if (row.make_scalar_median == nullptr) {
+  if (!row.info.scalar_median) {
     std::fprintf(stderr, "Label unsuitable for scalar median: %s\n",
                  label.c_str());
     MEMAGG_CHECK(false);
   }
-  return row.make_scalar_median(exec);
+  return row.factories().make_scalar_median(exec);
 }
 
 namespace {
@@ -215,6 +215,7 @@ VectorQueryExecution ExecuteCompositeQuery(const std::string& label,
   const auto make = [&composite](const std::string& resolved, size_t expected,
                                  const ExecutionContext& context) {
     return OperatorRow(resolved, context)
+        .factories()
         .make_composite(composite, expected, context);
   };
   return TimedQuery([&] {

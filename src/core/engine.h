@@ -62,8 +62,8 @@ const std::vector<std::string>& ConcurrentLabels();
 const std::vector<std::string>& TreeLabels();
 
 /// The Table 3 labels with a Q6 scalar-median operator (trees and sorts).
-/// Ttree, Quicksort, Sort_BI, and Sort_QSLB have one too but are not in
-/// Table 3, so they are not listed.
+/// Ttree, Sort_BI, and Sort_QSLB have one too but are not in Table 3, so
+/// they are not listed.
 const std::vector<std::string>& ScalarCapableLabels();
 
 /// Creates a vector-aggregation operator for `label` computing `function`.

@@ -7,18 +7,25 @@
 // Table 8 membership, Q6 scalar median, cache-traced twin), and a row
 // template — a "family" — whose static Make<Aggregate, Tracer>(aggregate,
 // ...) builds the operator around an aggregate policy value; the family
-// also fixes the category. kLabelTable<Tracer> instantiates the factories
-// of every row for one MemoryTracer: the engine reads
-// kLabelTable<NullTracer>, where every row has one factory per aggregate
-// function and one for a CompositeAggregate (the table front-end's one
-// pass), and the traced engine reads kLabelTable<SimTracer>, in which only
-// kTraced rows have factories, and only for COUNT and MEDIAN (paper Figure
-// 6). So core/ never names the simulator, and simulator-traced operators
-// exist only for those rows.
+// also fixes the category. A row points at its family's factory table for
+// one MemoryTracer, RowFactories<Family, Tracer>::Table(): the engine reads
+// kLabelTable<NullTracer>, where every row's table has one factory per
+// aggregate function, one for a CompositeAggregate (the table front-end's
+// one pass) and, for families that have one, the Q6 scalar median; the
+// traced engine reads kLabelTable<SimTracer>, in which only kTraced rows
+// have a table, with factories for COUNT and MEDIAN only (paper Figure 6).
+// So core/ never names the simulator, and simulator-traced operators exist
+// only for those rows.
 //
-// Internal to the engine: include it only from core/engine.cc and
-// sim/traced_engine.cc. Everyone else reads the rows through
-// AllLabels()/FindLabel() (core/engine.h).
+// The tables are declared here and defined in core/row_factories.h. The
+// engine's are explicitly instantiated, one line per family, in the
+// registry shards core/registry_*.cc, so the operators compile in parallel
+// and a family that no shard instantiates fails the link; the traced ones
+// are instantiated by sim/traced_engine.cc.
+//
+// Internal to the engine: include it only from core/engine.cc,
+// core/row_factories.h and sim/traced_engine.cc. Everyone else reads the
+// rows through AllLabels()/FindLabel() (core/engine.h).
 
 #ifndef MEMAGG_CORE_LABEL_REGISTRY_H_
 #define MEMAGG_CORE_LABEL_REGISTRY_H_
@@ -71,14 +78,20 @@ using CompositeFactory = std::unique_ptr<VectorAggregator> (*)(
 using ScalarFactory =
     std::unique_ptr<ScalarAggregator> (*)(const ExecutionContext& exec);
 
-/// A registry row with its factories instantiated for one tracer. `make` is
-/// indexed by AggregateFunction; a null entry means the row has no operator
-/// for that function under this tracer.
-struct LabelRow {
-  LabelInfo info;
+/// A family's operator factories for one tracer. `make` is indexed by
+/// AggregateFunction; a null entry means the family has no operator for
+/// that function under this tracer.
+struct FactoryTable {
   std::array<VectorFactory, kNumAggregateFunctions> make{};
   CompositeFactory make_composite = nullptr;
   ScalarFactory make_scalar_median = nullptr;
+};
+
+/// A registry row for one tracer: its info and its family's factory table,
+/// or null when the row has no operators under this tracer.
+struct LabelRow {
+  LabelInfo info;
+  const FactoryTable& (*factories)() = nullptr;
 };
 
 /// Row flags.
@@ -101,6 +114,14 @@ concept LabelFamily = requires(size_t expected_size,
     F::template Make<CountAggregate, NullTracer>(CountAggregate{},
                                                  expected_size, exec)
   } -> std::same_as<std::unique_ptr<VectorAggregator>>;
+};
+
+/// A family with a Q6 scalar-median operator.
+template <typename F>
+concept ScalarMedianFamily = requires(const ExecutionContext& exec) {
+  {
+    F::MakeScalarMedian(exec)
+  } -> std::same_as<std::unique_ptr<ScalarAggregator>>;
 };
 
 namespace family {
@@ -264,32 +285,53 @@ std::unique_ptr<VectorAggregator> MakeComposite(
       composite, expected_size, exec);
 }
 
-/// Instantiates one row for `Tracer`. With the null tracer every aggregate
-/// function and the composite get a factory; with an enabled tracer only
-/// kTraced rows do, for COUNT and MEDIAN.
+/// `Family`'s factory table for `Tracer`: with the null tracer, one factory
+/// per aggregate function, the composite's, and the scalar median's if the
+/// family has one; with an enabled tracer, COUNT and MEDIAN only.
+template <LabelFamily Family, MemoryTracer Tracer>
+constexpr FactoryTable FactoriesOf() {
+  FactoryTable table;
+  if constexpr (!Tracer::kEnabled) {
+    table.make = {// In AggregateFunction order.
+                  &MakeFor<Family, CountAggregate, Tracer>,
+                  &MakeFor<Family, SumAggregate, Tracer>,
+                  &MakeFor<Family, MinAggregate, Tracer>,
+                  &MakeFor<Family, MaxAggregate, Tracer>,
+                  &MakeFor<Family, AverageAggregate, Tracer>,
+                  &MakeFor<Family, MedianAggregate, Tracer>,
+                  &MakeFor<Family, ModeAggregate, Tracer>};
+    table.make_composite = &MakeComposite<Family>;
+    if constexpr (ScalarMedianFamily<Family>) {
+      table.make_scalar_median = &Family::MakeScalarMedian;
+    }
+  } else {
+    table.make[static_cast<size_t>(AggregateFunction::kCount)] =
+        &MakeFor<Family, CountAggregate, Tracer>;
+    table.make[static_cast<size_t>(AggregateFunction::kMedian)] =
+        &MakeFor<Family, MedianAggregate, Tracer>;
+  }
+  return table;
+}
+
+/// The factory table of `Family` under `Tracer`. Table() is only declared
+/// here; core/row_factories.h defines it over a constinit FactoriesOf()
+/// table, so no operator is instantiated where this header is included.
+template <LabelFamily Family, MemoryTracer Tracer>
+struct RowFactories {
+  static const FactoryTable& Table();
+};
+
+/// One row for `Tracer`. With the null tracer every row points at its
+/// family's table; with an enabled tracer only kTraced rows do.
 template <MemoryTracer Tracer, LabelFamily Family, unsigned kFlags>
 constexpr LabelRow Row(const char* name) {
+  static_assert((kFlags & kScalarMedian) == 0 || ScalarMedianFamily<Family>,
+                "a kScalarMedian row needs a family with MakeScalarMedian");
   LabelRow row{{name, Family::kCategory, (kFlags & kParallel) != 0,
                 (kFlags & kTable3) != 0, (kFlags & kTable8) != 0,
                 (kFlags & kScalarMedian) != 0, (kFlags & kTraced) != 0}};
-  if constexpr (!Tracer::kEnabled) {
-    row.make = {// In AggregateFunction order.
-                &MakeFor<Family, CountAggregate, Tracer>,
-                &MakeFor<Family, SumAggregate, Tracer>,
-                &MakeFor<Family, MinAggregate, Tracer>,
-                &MakeFor<Family, MaxAggregate, Tracer>,
-                &MakeFor<Family, AverageAggregate, Tracer>,
-                &MakeFor<Family, MedianAggregate, Tracer>,
-                &MakeFor<Family, ModeAggregate, Tracer>};
-    row.make_composite = &MakeComposite<Family>;
-    if constexpr ((kFlags & kScalarMedian) != 0) {
-      row.make_scalar_median = &Family::MakeScalarMedian;
-    }
-  } else if constexpr ((kFlags & kTraced) != 0) {
-    row.make[static_cast<size_t>(AggregateFunction::kCount)] =
-        &MakeFor<Family, CountAggregate, Tracer>;
-    row.make[static_cast<size_t>(AggregateFunction::kMedian)] =
-        &MakeFor<Family, MedianAggregate, Tracer>;
+  if constexpr (!Tracer::kEnabled || (kFlags & kTraced) != 0) {
+    row.factories = &RowFactories<Family, Tracer>::Table;
   }
   return row;
 }
@@ -325,8 +367,8 @@ inline constexpr LabelRow kLabelTable[] = {
 
     // Extensions: the range-capable Ttree, the allocator-ablation twins of
     // ART and Hash_SC (global operator new instead of the arena pool,
-    // docs/memory.md), the operators beyond the paper, and the
-    // microbenchmark sorts.
+    // docs/memory.md), and the operators beyond the paper. The sorts that
+    // the paper runs only as kernels (Figures 2 and 10) have no row.
     Row<T, family::GroupStore<TTree>, kScalarMedian | kTraced>("Ttree"),
     Row<T, family::GroupStore<ArtTreeGlobalNew>, 0>("ART_Global"),
     Row<T, family::GroupStore<ChainingMapGlobalNew>, 0>(
@@ -340,11 +382,6 @@ inline constexpr LabelRow kLabelTable[] = {
         "Hash_PRadix"),
     Row<T, family::Adaptive<AggStrategySet{}>, kParallel>(kAdaptiveLabel),
     Row<T, family::Adaptive<kHybridStrategies>, kParallel>("Hybrid"),
-    Row<T, family::Sort<QuicksortSorter>, kScalarMedian>("Quicksort"),
-    Row<T, family::Sort<MsbRadixSorter>, 0>("Sort_MSBRadix"),
-    Row<T, family::Sort<LsbRadixSorter>, 0>("Sort_LSBRadix"),
-    Row<T, family::Sort<SamplesortSorter>, kParallel>("Sort_SS"),
-    Row<T, family::Sort<TaskQuicksortSorter>, kParallel>("Sort_TBB"),
 };
 
 /// The row named `label`; aborts with "Unknown algorithm label" if none.

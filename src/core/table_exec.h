@@ -124,26 +124,6 @@ std::vector<DecodedKey> DecodeKeyColumn(const Codec& codec,
   return decoded;
 }
 
-/// Bytes of column storage `query` touches in `table` (group-by, measure,
-/// and filter columns) — the query's input working set, for cost models and
-/// bench reports.
-template <ColumnarTable T>
-size_t QueryFootprintBytes(const T& table, const TableQuery& query) {
-  size_t bytes = 0;
-  for (const std::string& name : query.group_by) {
-    bytes += table.ColumnAt(table.ColumnIndex(name)).MemoryBytes();
-  }
-  for (const AggregateSpec& spec : query.aggregates) {
-    if (!NeedsValueColumn(spec.function)) continue;
-    bytes += table.ColumnAt(table.ColumnIndex(spec.column)).MemoryBytes();
-  }
-  if (query.has_filter) {
-    bytes += table.ColumnAt(table.ColumnIndex(query.filter_column))
-                 .MemoryBytes();
-  }
-  return bytes;
-}
-
 /// Runs `query` end to end through the engine. `label` is any
 /// MakeVectorAggregator label, or "auto" for the advisor's pick. Aborts
 /// loudly on malformed queries (unknown columns, non-u64 measures, a range

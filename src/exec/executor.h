@@ -172,25 +172,6 @@ class Executor {
     group.Wait();   // Helps drain, then blocks for stragglers.
   }
 
-  /// Parallel map-reduce: each worker folds its morsels into a private
-  /// accumulator seeded with `identity`; accumulators are then combined
-  /// serially (in worker-id order) into the result.
-  ///   map(T& acc, const Morsel& m)   — fold one morsel into acc
-  ///   combine(T& into, T& from)      — merge a worker accumulator
-  template <typename T, typename MapFn, typename CombineFn>
-  T ParallelReduce(size_t n, T identity, MapFn map, CombineFn combine,
-                   size_t grain = 0) {
-    WorkerLocal<T> accumulators(num_workers());
-    accumulators.ForEach([&identity](T& acc) { acc = identity; });
-    ParallelFor(
-        n, [&](const Morsel& m) { map(accumulators[m.worker], m); }, grain);
-    T result = std::move(accumulators[0]);
-    for (int w = 1; w < accumulators.size(); ++w) {
-      combine(result, accumulators[w]);
-    }
-    return result;
-  }
-
  private:
   /// Flushes one worker's morsel count into its registry shard. Runs once
   /// per worker per loop (not per morsel).

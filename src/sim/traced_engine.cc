@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "core/label_registry.h"
+#include "core/row_factories.h"
 #include "sim/sim_tracer.h"
 #include "util/macros.h"
 
@@ -12,8 +12,11 @@ std::unique_ptr<VectorAggregator> MakeTracedVectorAggregator(
     const std::string& label, AggregateFunction function, size_t expected_size,
     const ExecutionContext& exec) {
   MEMAGG_CHECK(exec.num_threads == 1);
-  const VectorFactory make = FindRow(kLabelTable<SimTracer>, label)
-                                 .make[static_cast<size_t>(function)];
+  const LabelRow& row = FindRow(kLabelTable<SimTracer>, label);
+  const VectorFactory make =
+      row.factories == nullptr
+          ? nullptr
+          : row.factories().make[static_cast<size_t>(function)];
   if (make == nullptr) {
     // Traced twins exist for LabelInfo::traced rows, COUNT and MEDIAN only.
     std::fprintf(stderr, "No traced operator for label: %s computing %s\n",

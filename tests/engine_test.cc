@@ -46,7 +46,7 @@ std::vector<std::string> NamesWhere(bool LabelInfo::*flag) {
 }
 
 TEST(EngineTest, RegistryRowsCarryTheirCapabilities) {
-  EXPECT_EQ(AllLabels().size(), 27u);
+  EXPECT_EQ(AllLabels().size(), 22u);
   std::vector<std::string> names;
   for (const LabelInfo& info : AllLabels()) names.push_back(info.name);
   std::sort(names.begin(), names.end());
@@ -55,12 +55,11 @@ TEST(EngineTest, RegistryRowsCarryTheirCapabilities) {
   EXPECT_EQ(NamesWhere(&LabelInfo::parallel),
             (std::vector<std::string>{
                 "Hash_TBBSC", "Hash_LC", "Sort_BI", "Sort_QSLB", "Hash_PLocal",
-                "Hash_Striped", "Hash_PRadix", "Adaptive", "Hybrid", "Sort_SS",
-                "Sort_TBB"}));
+                "Hash_Striped", "Hash_PRadix", "Adaptive", "Hybrid"}));
   EXPECT_EQ(NamesWhere(&LabelInfo::scalar_median),
             (std::vector<std::string>{"ART", "Judy", "Btree", "Introsort",
                                       "Spreadsort", "Sort_BI", "Sort_QSLB",
-                                      "Ttree", "Quicksort"}));
+                                      "Ttree"}));
   EXPECT_EQ(NamesWhere(&LabelInfo::traced),
             (std::vector<std::string>{"ART", "Judy", "Btree", "Hash_SC",
                                       "Hash_LP", "Hash_Sparse", "Hash_Dense",

@@ -102,27 +102,6 @@ TEST(ExecutorTest, EmptyInputDrainsWithoutWork) {
   int calls = 0;
   exec.ParallelFor(0, [&](const Morsel&) { ++calls; });
   EXPECT_EQ(calls, 0);
-  const double sum = exec.ParallelReduce(
-      size_t{0}, 0.0,
-      [](double& acc, const Morsel& m) {
-        acc += static_cast<double>(m.end - m.begin);
-      },
-      [](double& into, double& from) { into += from; });
-  EXPECT_EQ(sum, 0.0);
-}
-
-TEST(ExecutorTest, ParallelReduceSumsLikeSerial) {
-  const size_t n = 250000;
-  for (int threads : {1, 3, 8}) {
-    Executor exec{ExecutionContext{threads}};
-    const uint64_t sum = exec.ParallelReduce(
-        n, uint64_t{0},
-        [](uint64_t& acc, const Morsel& m) {
-          for (size_t i = m.begin; i < m.end; ++i) acc += i;
-        },
-        [](uint64_t& into, uint64_t& from) { into += from; });
-    EXPECT_EQ(sum, n * (n - 1) / 2);
-  }
 }
 
 TEST(ExecutorTest, NestedParallelForIsSafe) {

@@ -1,7 +1,8 @@
 // Randomized differential testing: many small random workloads (random
 // sizes, key ranges, value ranges, duplicates, extreme keys) run through
-// every algorithm label and every aggregate function, checked against the
-// naive reference. Catches interactions the structured suites miss.
+// every registry row (AllLabels()) and every aggregate function, checked
+// against the naive reference. Catches interactions the structured suites
+// miss.
 
 #include <gtest/gtest.h>
 
@@ -10,8 +11,6 @@
 
 #include "core/aggregate.h"
 #include "core/engine.h"
-#include "core/group_store_aggregator.h"
-#include "hash/linear_probing_map.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -42,15 +41,9 @@ RandomWorkload MakeWorkload(Rng& rng) {
   return w;
 }
 
+// Every row at one thread.
 TEST(FuzzTest, AllLabelsAllFunctionsAgreeWithReference) {
   Rng rng(20260706);
-  std::vector<std::string> labels = SerialLabels();
-  labels.push_back("Ttree");
-  labels.push_back("Quicksort");
-  labels.push_back("Sort_MSBRadix");
-  labels.push_back("Sort_LSBRadix");
-  labels.push_back("Hybrid");
-  labels.push_back("Hash_MPH");
   constexpr int kRounds = 12;
   for (int round = 0; round < kRounds; ++round) {
     const RandomWorkload w = MakeWorkload(rng);
@@ -60,7 +53,8 @@ TEST(FuzzTest, AllLabelsAllFunctionsAgreeWithReference) {
           AggregateFunction::kAverage, AggregateFunction::kMedian,
           AggregateFunction::kMode}) {
       const auto expected = ReferenceVectorAggregate(w.keys, w.values, fn);
-      for (const std::string& label : labels) {
+      for (const LabelInfo& info : AllLabels()) {
+        const std::string label = info.name;
         auto aggregator = MakeVectorAggregator(label, fn, w.keys.size());
         aggregator->Build(w.keys.data(), w.values.data(), w.keys.size());
         auto result = aggregator->Iterate();
@@ -80,12 +74,13 @@ TEST(FuzzTest, AllLabelsAllFunctionsAgreeWithReference) {
   }
 }
 
+// Every parallel row at a random thread count.
 TEST(FuzzTest, ConcurrentLabelsAgreeWithReference) {
   Rng rng(777);
-  std::vector<std::string> labels = ConcurrentLabels();
-  labels.push_back("Hash_PLocal");
-  labels.push_back("Hash_Striped");
-  labels.push_back("Hash_PRadix");
+  std::vector<std::string> labels;
+  for (const LabelInfo& info : AllLabels()) {
+    if (info.parallel) labels.push_back(info.name);
+  }
   for (int round = 0; round < 6; ++round) {
     const RandomWorkload w = MakeWorkload(rng);
     const int threads = 1 + static_cast<int>(rng.NextBounded(8));
@@ -130,45 +125,6 @@ TEST(FuzzTest, RangeScansAgreeWithFilteredReference) {
       ASSERT_EQ(result, expected) << label << " round " << round;
     }
   }
-}
-
-TEST(FuzzTest, QuantileAggregatePercentiles) {
-  // QuantileAggregate is policy-level (no engine enum); exercise it through
-  // an operator template against a brute-force percentile.
-  Rng rng(999);
-  for (int round = 0; round < 8; ++round) {
-    const RandomWorkload w = MakeWorkload(rng);
-    GroupStoreAggregator<LinearProbingMap, QuantileAggregate<90>> aggregator(
-        w.keys.size());
-    aggregator.Build(w.keys.data(), w.values.data(), w.keys.size());
-    auto result = aggregator.Iterate();
-    SortByKey(result);
-    // Brute force.
-    std::map<uint64_t, std::vector<uint64_t>> groups;
-    for (size_t i = 0; i < w.keys.size(); ++i) {
-      groups[w.keys[i]].push_back(w.values[i]);
-    }
-    ASSERT_EQ(result.size(), groups.size());
-    size_t at = 0;
-    for (auto& [key, values] : groups) {
-      std::sort(values.begin(), values.end());
-      size_t rank = (values.size() * 90 + 99) / 100;
-      if (rank > 0) --rank;
-      ASSERT_EQ(result[at].key, key);
-      ASSERT_DOUBLE_EQ(result[at].value, static_cast<double>(values[rank]))
-          << "key " << key << " count " << values.size();
-      ++at;
-    }
-  }
-}
-
-TEST(QuantileTest, BoundaryPercentiles) {
-  std::vector<uint64_t> values = {10, 20, 30, 40, 50};
-  EXPECT_DOUBLE_EQ(PercentileOfRun(values.data(), values.size(), 0), 10.0);
-  EXPECT_DOUBLE_EQ(PercentileOfRun(values.data(), values.size(), 100), 50.0);
-  EXPECT_DOUBLE_EQ(PercentileOfRun(values.data(), values.size(), 50), 30.0);
-  uint64_t one = 7;
-  EXPECT_DOUBLE_EQ(PercentileOfRun(&one, 1, 25), 7.0);
 }
 
 }  // namespace

@@ -10,8 +10,7 @@ namespace memagg {
 static_assert(TableKeyCodec<PackedKeyCodec>);
 static_assert(TableKeyCodec<DictKeyCodec>);
 
-// A Table is not a codec, and a codec is not a table.
+// A Table is not a codec.
 static_assert(!TableKeyCodec<Table>);
-static_assert(!ColumnarTable<PackedKeyCodec>);
 
 }  // namespace memagg

@@ -24,7 +24,6 @@ namespace memagg {
 namespace {
 
 // The concept pins for the data layer live next to the code they gate.
-static_assert(ColumnarTable<Table>);
 static_assert(TableKeyCodec<PackedKeyCodec>);
 static_assert(TableKeyCodec<DictKeyCodec>);
 

@@ -47,11 +47,10 @@
 #include "core/aggregate.h"
 #include "core/concepts.h"
 #include "core/group_store_aggregator.h"
-#include "core/local_partition_aggregator.h"
 #include "core/migratable.h"
 #include "core/operator.h"
 #include "core/parallel_aggregator.h"
-#include "core/radix_partition_aggregator.h"
+#include "core/partitioned_aggregator.h"
 #include "core/result.h"
 #include "core/sort_aggregator.h"
 #include "core/sorters.h"
@@ -314,6 +313,12 @@ class AdaptiveAggregator final : public VectorAggregator {
         std::min(static_cast<double>(max_rows), capacity));
   }
 
+  /// The iterate-time merge of a partitioned strategy.
+  static MergeMode MergeModeOf(AggStrategy strategy) {
+    return strategy == AggStrategy::kLocalTree ? MergeMode::kTree
+                                               : MergeMode::kCentral;
+  }
+
   void StartStrategy(AggStrategy strategy, size_t expected_groups,
                      size_t expected_rows) {
     const int workers = Executor(exec()).num_workers();
@@ -326,14 +331,11 @@ class AdaptiveAggregator final : public VectorAggregator {
         break;
       case AggStrategy::kLocalCentral:
       case AggStrategy::kLocalTree:
-        op_ = std::make_unique<LocalPartitionAggregator<Aggregate>>(
-            expected_groups, exec(), aggregate_,
-            strategy == AggStrategy::kLocalTree ? LocalMergeMode::kTree
-                                                : LocalMergeMode::kCentral);
-        break;
       case AggStrategy::kRadix:
-        op_ = std::make_unique<RadixPartitionAggregator<Aggregate>>(
-            expected_groups, exec(), aggregate_);
+        op_ = std::make_unique<PartitionedAggregator<Aggregate>>(
+            expected_groups, exec(),
+            strategy == AggStrategy::kRadix ? RadixPartitions(exec()) : 1,
+            aggregate_, MergeModeOf(strategy));
         break;
       case AggStrategy::kSharedMap:
         op_ = std::make_unique<StripedParallelAggregator<Aggregate>>(
@@ -437,10 +439,8 @@ class AdaptiveAggregator final : public VectorAggregator {
     };
     if (is_local(current_) && is_local(next)) {
       // Same structure, different finish: flip the merge mode in place.
-      static_cast<LocalPartitionAggregator<Aggregate>*>(op_.get())
-          ->set_merge_mode(next == AggStrategy::kLocalTree
-                               ? LocalMergeMode::kTree
-                               : LocalMergeMode::kCentral);
+      static_cast<PartitionedAggregator<Aggregate>*>(op_.get())
+          ->set_merge_mode(MergeModeOf(next));
       current_ = next;
       stats_.Add(StatCounter::kStrategySwitches, 1);
       trace_ += "->";

@@ -13,9 +13,9 @@
 //
 // The free functions ahead of the operator are the steps a table-backed
 // family takes on a store's groups, each defined once here for this
-// operator and for the partitioned and shared-table families
-// (core/local_partition_aggregator.h, core/radix_partition_aggregator.h,
-// core/parallel_aggregator.h):
+// operator, for PartitionedAggregator (core/partitioned_aggregator.h), and
+// for LockedTableAggregator and TbbStyleParallelAggregator
+// (core/parallel_aggregator.h):
 //
 //   emit   FinalizeInto, EmitGroups  finalize each group into a result row
 //   drain  DrainGroups               move each group's State into a partial
@@ -105,10 +105,16 @@ void FoldGroups(const Store& from, Store& into, const Aggregate& aggregate) {
 /// node censuses, B-tree/T-tree shape stats) onto the uniform node and
 /// height counters; a hash table reports its entries and whichever of
 /// rehashes, cuckoo kicks, probe and chain lengths it tracks; either adds its
-/// allocator's counters.
+/// allocator's counters. A lock-striped store (hash/striped_map.h) reports
+/// its stripes as key-space partitions and adds each stripe's counters.
 template <std::default_initializable State, GroupContainer<State> Store>
 void AddStoreStats(const Store& store, QueryStats* stats) {
-  if constexpr (requires { store.ComputeNodeStats(); }) {
+  if constexpr (requires { store.num_stripes(); }) {
+    stats->Add(StatCounter::kPartitions, store.num_stripes());
+    store.ForEachStripe([stats](const auto& stripe) {
+      AddStoreStats<State>(stripe, stats);
+    });
+  } else if constexpr (requires { store.ComputeNodeStats(); }) {
     const auto node_stats = store.ComputeNodeStats();
     if constexpr (requires { node_stats.inner_nodes(); }) {  // ART
       stats->Add(StatCounter::kTreeNodes,

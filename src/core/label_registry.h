@@ -30,6 +30,7 @@
 #ifndef MEMAGG_CORE_LABEL_REGISTRY_H_
 #define MEMAGG_CORE_LABEL_REGISTRY_H_
 
+#include <algorithm>
 #include <array>
 #include <concepts>
 #include <cstddef>
@@ -44,11 +45,10 @@
 #include "core/concepts.h"
 #include "core/engine.h"
 #include "core/group_store_aggregator.h"
-#include "core/local_partition_aggregator.h"
 #include "core/mph_aggregator.h"
 #include "core/operator.h"
 #include "core/parallel_aggregator.h"
-#include "core/radix_partition_aggregator.h"
+#include "core/partitioned_aggregator.h"
 #include "core/scalar.h"
 #include "core/sort_aggregator.h"
 #include "core/sorters.h"
@@ -194,8 +194,8 @@ struct Sort {
   }
 };
 
-/// Hash_LC: the serial cuckoo table at one thread, the shared concurrent
-/// one at more (paper Table 8).
+/// Hash_LC: the serial cuckoo table at one thread, the shared locked one at
+/// more (paper Table 8).
 struct Cuckoo {
   static constexpr AlgorithmCategory kCategory = AlgorithmCategory::kHash;
   template <MergeableAggregatePolicy Aggregate, MemoryTracer Tracer>
@@ -203,12 +203,19 @@ struct Cuckoo {
                                                 size_t expected_size,
                                                 const ExecutionContext& exec) {
     if (exec.num_threads > 1) {
-      return std::make_unique<CuckooParallelAggregator<Aggregate>>(
-          expected_size, exec, aggregate);
+      return std::make_unique<LockedTableAggregator<CuckooMap, Aggregate>>(
+          std::max(expected_size, kMinSharedSize), exec, aggregate);
     }
     return GroupStore<CuckooMap>::Make<Aggregate, Tracer>(
         aggregate, expected_size, exec);
   }
+
+  // Every upsert into the shared table locks the stripes of its key's two
+  // buckets, and the stripe locks are bytes of one array. A table sized for
+  // a handful of groups has a handful of buckets, so all workers would spin
+  // on one cache line of locks; this floor (8192 buckets) spreads a few hot
+  // keys' buckets and stripes over separate lines.
+  static constexpr size_t kMinSharedSize = size_t{1} << 14;
 };
 
 /// Hash_TBBSC: one shared chaining table over self-synchronizing states,
@@ -228,6 +235,21 @@ struct SharedChaining {
       return std::make_unique<TbbStyleParallelAggregator<Concurrent>>(
           expected_size, exec);
     }
+  }
+};
+
+/// Worker-private tables merged at iterate time
+/// (core/partitioned_aggregator.h), over one key partition (Hash_PLocal) or
+/// RadixPartitions() of them (Hash_PRadix).
+template <bool kRadix>
+struct Partitioned {
+  static constexpr AlgorithmCategory kCategory = AlgorithmCategory::kHash;
+  template <MergeableAggregatePolicy Aggregate, MemoryTracer Tracer>
+  static std::unique_ptr<VectorAggregator> Make(const Aggregate& aggregate,
+                                                size_t expected_size,
+                                                const ExecutionContext& exec) {
+    return std::make_unique<PartitionedAggregator<Aggregate>>(
+        expected_size, exec, kRadix ? RadixPartitions(exec) : 1, aggregate);
   }
 };
 
@@ -374,12 +396,10 @@ inline constexpr LabelRow kLabelTable[] = {
     Row<T, family::GroupStore<ChainingMapGlobalNew>, 0>(
         "Hash_SC_Global"),
     Row<T, family::Operator<MphVectorAggregator>, 0>("Hash_MPH"),
-    Row<T, family::Operator<LocalPartitionAggregator>, kParallel>(
-        "Hash_PLocal"),
+    Row<T, family::Partitioned</*kRadix=*/false>, kParallel>("Hash_PLocal"),
     Row<T, family::Operator<StripedParallelAggregator>, kParallel>(
         "Hash_Striped"),
-    Row<T, family::Operator<RadixPartitionAggregator>, kParallel>(
-        "Hash_PRadix"),
+    Row<T, family::Partitioned</*kRadix=*/true>, kParallel>("Hash_PRadix"),
     Row<T, family::Adaptive<AggStrategySet{}>, kParallel>(kAdaptiveLabel),
     Row<T, family::Adaptive<kHybridStrategies>, kParallel>("Hybrid"),
 };

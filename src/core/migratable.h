@@ -73,9 +73,9 @@ struct PartialAggState {
 /// A vector operator whose partial state can move to another strategy
 /// mid-query, templated on the aggregate policy so partial states are typed
 /// end to end. Absorbing partials needs Aggregate::Merge, hence the
-/// constraint. The hash, tree, sort, local-partition, radix and striped
-/// families derive from it; the adaptive operator holds its strategy
-/// through it.
+/// constraint. The group-store (hash and tree), sort, partitioned and
+/// locked-table operators derive from it; the adaptive operator holds its
+/// strategy through it.
 template <MergeableAggregatePolicy Aggregate>
 class MigratableAggregator : public VectorAggregator {
  public:

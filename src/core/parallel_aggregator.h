@@ -5,15 +5,18 @@
 // and full iteration. Two kinds of operator qualify:
 //
 //   * concurrent hash tables — all threads build one shared table. This
-//     file defines three families of them. Hash_TBBSC updates group state
-//     with atomics / per-group locks (the analogue of the paper storing a
+//     file defines the two operators that do. TbbStyleParallelAggregator
+//     (Hash_TBBSC) leaves synchronization to the group states, updated with
+//     atomics / per-group locks (the analogue of the paper storing a
 //     tbb::concurrent_vector per group, including its synchronization
-//     overhead on Q3); Hash_LC applies updates through the upsert callback,
-//     which runs under the table's own bucket locks (libcuckoo's
-//     user-defined upsert, which the paper calls out as the feature that
-//     avoids TBB's Q3 overhead); Hash_Striped upserts under the stripe locks
-//     of lock-striped serial tables. They emit, drain and count their groups
-//     through the shared steps of core/group_store_aggregator.h.
+//     overhead on Q3). LockedTableAggregator runs each update inside the
+//     table's own locks instead: a cuckoo table's bucket locks (Hash_LC,
+//     libcuckoo's user-defined upsert, which the paper calls out as the
+//     feature that avoids TBB's Q3 overhead) or the stripe locks of
+//     lock-striped serial tables (Hash_Striped). Both emit, drain and count
+//     their groups through the shared steps of core/group_store_aggregator.h.
+//     The other answer to Section 5.8, private tables merged at iterate
+//     time, is core/partitioned_aggregator.h.
 //
 //   * parallel sorts — SortVectorAggregator already handles these: pass a
 //     parallel sorter (BlockIndirectSorter / ParallelQuicksortSorter) from
@@ -22,9 +25,9 @@
 #ifndef MEMAGG_CORE_PARALLEL_AGGREGATOR_H_
 #define MEMAGG_CORE_PARALLEL_AGGREGATOR_H_
 
-#include <algorithm>
 #include <array>
 #include <atomic>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -336,69 +339,31 @@ class TbbStyleParallelAggregator final : public VectorAggregator {
   [[no_unique_address]] ConcurrentAggregate aggregate_;
 };
 
-/// Hash_LC-style parallel aggregation: updates run inside CuckooMap::Upsert
-/// under the table's bucket locks, so plain (non-atomic) aggregate policies
-/// from core/aggregate.h are used directly.
-template <AggregatePolicy Aggregate>
-class CuckooParallelAggregator final : public VectorAggregator {
- public:
-  using State = typename Aggregate::State;
-  static_assert(ConcurrentGroupMap<CuckooMap<State>, State>);
-
-  CuckooParallelAggregator(size_t expected_size, ExecutionContext exec,
-                           Aggregate aggregate = {})
-      : VectorAggregator(exec),
-        map_(std::max(expected_size, kMinExpectedSize)),
-        aggregate_(std::move(aggregate)) {}
-
-  void ConsumeMorsel(const uint64_t* keys, const uint64_t* values,
-                     const Morsel& m) override {
-    for (size_t i = m.begin; i < m.end; ++i) {
-      const uint64_t value = Aggregate::kNeedsValues ? values[i] : 0;
-      map_.Upsert(keys[i], [this, value](State& state) {
-        aggregate_.Update(state, value);
-      });
-    }
-  }
-
-  VectorResult Iterate() override { return EmitGroups(map_, aggregate_); }
-
-  size_t NumGroups() const override { return map_.size(); }
-
-  size_t DataStructureBytes() const override { return map_.MemoryBytes(); }
-
-  void CollectStats(QueryStats* stats) const override {
-    AddStoreStats<State>(map_, stats);
-  }
-
- private:
-  // Every upsert locks the stripes of its key's two buckets, and the
-  // stripe locks are bytes of one array. A table sized for a handful of
-  // groups has a handful of buckets, so all workers would spin on one
-  // cache line of locks; this floor (8192 buckets) spreads a few hot keys'
-  // buckets and stripes over separate lines.
-  static constexpr size_t kMinExpectedSize = size_t{1} << 14;
-
-  CuckooMap<State> map_;
-  [[no_unique_address]] Aggregate aggregate_;
-};
-
-/// Hash_Striped-style parallel aggregation: lock-striped serial
-/// linear-probing maps (see hash/striped_map.h). Updates run under the
-/// stripe lock, so plain aggregate policies work unchanged.
+/// Shared-table parallel aggregation: all workers upsert into one table, and
+/// each update runs inside the table's Upsert, under the table's own locks,
+/// so the plain (non-atomic) aggregate policies of core/aggregate.h work
+/// unchanged. `MapT` is the table template, instantiated at the aggregate's
+/// State:
 ///
-/// Every worker upserts into the one striped table, so there is no merge
-/// phase at all: Iterate() is a plain walk.
-template <MergeableAggregatePolicy Aggregate>
-class StripedParallelAggregator final : public MigratableAggregator<Aggregate> {
+///   * CuckooMap (Hash_LC above one thread): updates run under the table's
+///     bucket locks — libcuckoo's user-defined upsert, which the paper calls
+///     out as the feature that avoids TBB's Q3 overhead;
+///   * StripedLinearProbingMap (Hash_Striped, the adaptive operator's
+///     shared-map strategy): updates run under the stripe lock of
+///     lock-striped serial tables (hash/striped_map.h).
+///
+/// Every worker upserts into the one table, so there is no merge phase at
+/// all: Iterate() is a plain walk.
+template <template <typename> class MapT, MergeableAggregatePolicy Aggregate>
+  requires ConcurrentGroupMap<MapT<typename Aggregate::State>,
+                              typename Aggregate::State>
+class LockedTableAggregator final : public MigratableAggregator<Aggregate> {
  public:
   using State = typename Aggregate::State;
   using Partial = PartialAggState<Aggregate>;
-  static_assert(
-      ConcurrentGroupMap<StripedMap<LinearProbingMap<State>>, State>);
 
-  StripedParallelAggregator(size_t expected_size, ExecutionContext exec,
-                            Aggregate aggregate = {})
+  LockedTableAggregator(size_t expected_size, ExecutionContext exec,
+                        Aggregate aggregate = {})
       : MigratableAggregator<Aggregate>(exec),
         map_(expected_size),
         rows_consumed_(Executor(exec).num_workers()),
@@ -456,17 +421,24 @@ class StripedParallelAggregator final : public MigratableAggregator<Aggregate> {
   size_t DataStructureBytes() const override { return map_.MemoryBytes(); }
 
   void CollectStats(QueryStats* stats) const override {
-    stats->Add(StatCounter::kPartitions, map_.num_stripes());
-    map_.ForEachStripe([stats](const LinearProbingMap<State>& stripe) {
-      AddStoreStats<State>(stripe, stats);
-    });
+    AddStoreStats<State>(map_, stats);
   }
 
  private:
-  StripedMap<LinearProbingMap<State>> map_;
+  MapT<State> map_;
   WorkerLocal<uint64_t> rows_consumed_;  ///< Rows consumed, per worker.
   [[no_unique_address]] Aggregate aggregate_;
 };
+
+/// Lock-striped linear-probing tables (hash/striped_map.h) as a table
+/// template over the value type, the shape LockedTableAggregator takes.
+template <std::default_initializable Value>
+using StripedLinearProbingMap = StripedMap<LinearProbingMap<Value>>;
+
+/// Hash_Striped and the adaptive operator's shared-map strategy.
+template <MergeableAggregatePolicy Aggregate>
+using StripedParallelAggregator =
+    LockedTableAggregator<StripedLinearProbingMap, Aggregate>;
 
 }  // namespace memagg
 

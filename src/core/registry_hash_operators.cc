@@ -8,11 +8,10 @@ namespace memagg {
 template struct RowFactories<family::SharedChaining, NullTracer>;
 template struct RowFactories<family::Cuckoo, NullTracer>;
 template struct RowFactories<family::Operator<MphVectorAggregator>, NullTracer>;
-template struct RowFactories<family::Operator<LocalPartitionAggregator>,
+template struct RowFactories<family::Partitioned</*kRadix=*/false>,
                              NullTracer>;
 template struct RowFactories<family::Operator<StripedParallelAggregator>,
                              NullTracer>;
-template struct RowFactories<family::Operator<RadixPartitionAggregator>,
-                             NullTracer>;
+template struct RowFactories<family::Partitioned</*kRadix=*/true>, NullTracer>;
 
 }  // namespace memagg

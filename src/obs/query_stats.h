@@ -69,8 +69,10 @@ enum class StatCounter : size_t {
   kRowsSorted,         ///< Rows passed through a sort kernel.
   kTreeNodes,          ///< Inner + leaf nodes of tree structures.
   kTreeHeight,         ///< Structure depth (max-merged).
-  kPartitions,         ///< Partitions/buckets fanned out to.
-  kMergeRounds,        ///< Per-worker partials merged at iterate time.
+  kPartitions,         ///< Key-space partitions: 1 for worker-local tables,
+                       ///< P for radix ones, the stripes of a striped table.
+  kMergeRounds,        ///< Iterate-time merge phases over worker tables: 1
+                       ///< for a central merge, ceil(log2 W) for a tree.
   kMorselsClaimed,     ///< Morsels claimed across all parallel loops.
   kWorkersUsed,        ///< Distinct workers that claimed work (max-merged).
   kArenaChunks,        ///< Arena chunks reserved (mem/arena.h).

@@ -22,6 +22,8 @@
 #include "core/engine.h"
 #include "core/group_store_aggregator.h"
 #include "core/migratable.h"
+#include "core/parallel_aggregator.h"
+#include "core/partitioned_aggregator.h"
 #include "core/query.h"
 #include "data/dataset.h"
 #include "hash/chaining_map.h"
@@ -55,16 +57,22 @@ std::vector<Migratable<Aggregate>> AllMigratables(size_t expected,
   out.push_back({"tree", std::make_unique<GroupStoreAggregator<
                              ArtTree, Aggregate>>(expected)});
   out.push_back({"local-central",
-                 std::make_unique<LocalPartitionAggregator<Aggregate>>(
-                     expected, exec, Aggregate{}, LocalMergeMode::kCentral)});
+                 std::make_unique<PartitionedAggregator<Aggregate>>(
+                     expected, exec, 1, Aggregate{}, MergeMode::kCentral)});
   out.push_back({"local-tree",
-                 std::make_unique<LocalPartitionAggregator<Aggregate>>(
-                     expected, exec, Aggregate{}, LocalMergeMode::kTree)});
-  out.push_back({"radix", std::make_unique<RadixPartitionAggregator<Aggregate>>(
-                              expected, exec)});
+                 std::make_unique<PartitionedAggregator<Aggregate>>(
+                     expected, exec, 1, Aggregate{}, MergeMode::kTree)});
+  // Four partitions whatever the workers, so every pair also moves state
+  // into and out of routed tables.
+  out.push_back({"radix", std::make_unique<PartitionedAggregator<Aggregate>>(
+                              expected, exec, 4)});
   out.push_back({"shared-map",
                  std::make_unique<StripedParallelAggregator<Aggregate>>(
                      expected, exec)});
+  out.push_back(
+      {"shared-cuckoo",
+       std::make_unique<LockedTableAggregator<CuckooMap, Aggregate>>(expected,
+                                                                     exec)});
   out.push_back({"sort", std::make_unique<SortVectorAggregator<
                              BlockIndirectSorter, Aggregate>>()});
   return out;
@@ -174,7 +182,7 @@ void ExpectStoreRelaysExactly(const char* label, AggregateFunction fn) {
   ConsumeRange(&store, keys, values.data(), grain, 2 * quarter, 3 * quarter);
   EXPECT_EQ(store.Progress().rows, 3 * quarter * grain) << context;
 
-  LocalPartitionAggregator<Aggregate> local(512, ExecutionContext{1});
+  PartitionedAggregator<Aggregate> local(512, ExecutionContext{1}, 1);
   local.BeginConsume(1, keys.size());
   local.AbsorbPartialState(store.ExtractPartialState());
   ConsumeRange(&local, keys, values.data(), grain, 3 * quarter, num_morsels);
@@ -248,7 +256,8 @@ TEST(MigratableTest, RadixReportsGroupsAndBytesWhileConsuming) {
   const auto keys = GenerateKeys(spec);
   const auto values = GenerateValues(keys.size(), 1000, 75);
   const size_t distinct = CountDistinct(keys);
-  RadixPartitionAggregator<SumAggregate> radix(64, ExecutionContext{4});
+  PartitionedAggregator<SumAggregate> radix(64, ExecutionContext{4},
+                                            RadixPartitions(4));
   radix.BeginConsume(4, keys.size());
   ConsumeRange(&radix, keys, values.data(), 4096, 0,
                NumMorselsFor(keys.size(), 4096), /*workers=*/4);
@@ -433,6 +442,46 @@ TEST(AdaptiveTest, OneMemberSetPinsTheChoice) {
   EXPECT_EQ(adaptive.strategy_switches(), 0u);
   EXPECT_EQ(adaptive.current_strategy(), AggStrategy::kSharedMap);
   EXPECT_EQ(adaptive.switch_trace(), "shared-map@0");
+}
+
+// Central and tree merge share the worker-local tables, so switching
+// between them flips the merge mode in place: every hop of the trace moves
+// no rows, and the merge the query ends on is the one that runs.
+TEST(AdaptiveTest, MergeModeFlipMovesNoState) {
+  DatasetSpec spec{Distribution::kRseqShuffled, 60000, 4096, 98};
+  const auto keys = GenerateKeys(spec);
+  const auto values = GenerateValues(keys.size(), 1000, 99);
+  ExecutionContext exec{4};
+  exec.morsel_rows = 1024;
+  AdaptiveOptions options;
+  options.strategies =
+      AggStrategySet::Of({AggStrategy::kLocalCentral, AggStrategy::kLocalTree});
+  options.rotate = true;
+  options.chunk_morsels = 1;
+  AdaptiveAggregator<SumAggregate> adaptive(keys.size(), exec, options);
+  adaptive.Build(keys.data(), values.data(), keys.size());
+  auto result = adaptive.Iterate();
+  SortByKey(result);
+  EXPECT_EQ(result,
+            ReferenceVectorAggregate(keys, values, AggregateFunction::kSum));
+
+  EXPECT_GE(adaptive.strategy_switches(), 10u);
+  const std::string& trace = adaptive.switch_trace();
+  size_t hops = 0;
+  for (size_t at = 0; at < trace.size(); ++hops) {
+    const size_t arrow = std::min(trace.find("->", at), trace.size());
+    const std::string hop = trace.substr(at, arrow - at);
+    EXPECT_TRUE(hop == "local-central@0" || hop == "local-tree@0") << trace;
+    at = arrow + 2;
+  }
+  EXPECT_EQ(hops, adaptive.strategy_switches() + 1) << trace;
+
+  QueryStats stats;
+  adaptive.CollectStats(&stats);
+  EXPECT_EQ(stats.Get(StatCounter::kRowsMigrated), 0u);
+  // One central phase, or ceil(log2 4) = 2 tree rounds.
+  EXPECT_EQ(stats.Get(StatCounter::kMergeRounds),
+            adaptive.current_strategy() == AggStrategy::kLocalTree ? 2u : 1u);
 }
 
 TEST(AdaptiveTest, SortFinishReportsGroupsAndBytes) {

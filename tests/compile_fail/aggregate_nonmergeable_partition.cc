@@ -4,7 +4,7 @@
 
 #include <cstdint>
 
-#include "core/local_partition_aggregator.h"
+#include "core/partitioned_aggregator.h"
 
 namespace memagg {
 
@@ -16,7 +16,7 @@ struct NonMergeableSum {
   // Missing: static void Merge(State& into, State& from).
 };
 
-using Broken = LocalPartitionAggregator<NonMergeableSum>;
+using Broken = PartitionedAggregator<NonMergeableSum>;
 Broken* unused = nullptr;
 
 }  // namespace memagg

@@ -321,7 +321,9 @@ TEST(QueryStatsEndToEndTest, LocalPartitionReportsMergeAccounting) {
       ExecuteVectorQuery("Hash_PLocal", AggregateFunction::kCount, keys.data(),
                          nullptr, keys.size(), keys.size(),
                          ExecutionContext{4});
-  EXPECT_EQ(execution.stats.Get(StatCounter::kPartitions), 4u);
+  // One key partition, four worker tables folded in one central phase.
+  EXPECT_EQ(execution.stats.Get(StatCounter::kPartitions), 1u);
+  EXPECT_EQ(execution.stats.Get(StatCounter::kMergeRounds), 1u);
   EXPECT_GT(execution.stats.PhaseCycles(StatPhase::kMerge), 0u);
 }
 
@@ -338,6 +340,19 @@ TEST(QueryStatsEndToEndTest, RadixPartitionReportsMergePhase) {
   // The worker copies of each partition merge inside the iterate phase.
   EXPECT_LE(execution.stats.PhaseCycles(StatPhase::kMerge),
             execution.stats.PhaseCycles(StatPhase::kIterate));
+}
+
+TEST(QueryStatsEndToEndTest, StripedTableReportsItsStripes) {
+  DatasetSpec spec{Distribution::kRseqShuffled, 100000, 500, 139};
+  const auto keys = GenerateKeys(spec);
+  const auto execution =
+      ExecuteVectorQuery("Hash_Striped", AggregateFunction::kCount,
+                         keys.data(), nullptr, keys.size(), keys.size(),
+                         ExecutionContext{4});
+  // The stripes partition the key space; their entries add up to the groups.
+  EXPECT_EQ(execution.stats.Get(StatCounter::kPartitions), 64u);
+  EXPECT_EQ(execution.stats.Get(StatCounter::kHashEntries), 500u);
+  EXPECT_EQ(execution.stats.Get(StatCounter::kMergeRounds), 0u);
 }
 
 TEST(QueryStatsEndToEndTest, CuckooKicksSurfaceUnderChurn) {

@@ -8,13 +8,13 @@
 #include "core/aggregate.h"
 #include "core/concepts.h"
 #include "core/group_store_aggregator.h"
-#include "core/local_partition_aggregator.h"
 #include "core/mph_aggregator.h"
 #include "core/parallel_aggregator.h"
-#include "core/radix_partition_aggregator.h"
+#include "core/partitioned_aggregator.h"
 #include "core/scalar.h"
 #include "core/sort_aggregator.h"
 #include "core/sorters.h"
+#include "hash/cuckoo_map.h"
 #include "hash/linear_probing_map.h"
 #include "tree/art.h"
 
@@ -26,11 +26,12 @@ static_assert(AggregationOperator<GroupStoreAggregator<ArtTree, SumAggregate>>);
 static_assert(
     AggregationOperator<SortVectorAggregator<IntrosortSorter, SumAggregate>>);
 static_assert(AggregationOperator<MphVectorAggregator<SumAggregate>>);
-static_assert(AggregationOperator<LocalPartitionAggregator<SumAggregate>>);
-static_assert(AggregationOperator<RadixPartitionAggregator<MedianAggregate>>);
+static_assert(AggregationOperator<PartitionedAggregator<SumAggregate>>);
+static_assert(AggregationOperator<PartitionedAggregator<MedianAggregate>>);
 static_assert(
     AggregationOperator<TbbStyleParallelAggregator<ConcurrentSumAggregate>>);
-static_assert(AggregationOperator<CuckooParallelAggregator<SumAggregate>>);
+static_assert(
+    AggregationOperator<LockedTableAggregator<CuckooMap, SumAggregate>>);
 static_assert(AggregationOperator<StripedParallelAggregator<SumAggregate>>);
 
 static_assert(ScalarOperator<StreamingCountAggregator>);

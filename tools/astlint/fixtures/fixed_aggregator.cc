@@ -34,22 +34,22 @@ struct ExecutionContext {
 };
 
 template <typename Agg>
-struct LocalPartitionAggregator {
-  LocalPartitionAggregator(unsigned long expected_size, ExecutionContext exec);
+struct PartitionedAggregator {
+  PartitionedAggregator(unsigned long expected_size, ExecutionContext exec);
   void Build(const unsigned long* keys, unsigned long n);
 };
 
 struct VectorAggregator {};
 
-void UseOperator(LocalPartitionAggregator<CountAggregate>* op);  // clean
+void UseOperator(PartitionedAggregator<CountAggregate>* op);  // clean
 
 void BuildOnTheStack(ExecutionContext exec) {
-  LocalPartitionAggregator<CountAggregate> agg(64, exec);  // planted
+  PartitionedAggregator<CountAggregate> agg(64, exec);  // planted
   agg.Build(nullptr, 0);
 }
 
 void Downcast(VectorAggregator* base) {
-  auto* op = static_cast<LocalPartitionAggregator<CountAggregate>*>(
+  auto* op = static_cast<PartitionedAggregator<CountAggregate>*>(
       static_cast<void*>(base));  // clean
   UseOperator(op);
 }
